@@ -753,17 +753,35 @@ restorePcSnapshotIn(const BenchOptions &opts,
         warn("--pc-snapshot-in: " + err + " (starting cold)");
 }
 
+/** Timing-kind cache counter: kept out of the canonical metric
+ *  sections, which must stay byte-identical to no-cache runs. */
+void
+bumpCacheCounter(const char *name)
+{
+    if (obs::metricsEnabled())
+        obs::reg().counter(name, obs::MetricKind::Timing).add(1);
+}
+
 /**
- * Decoded trace-library entries, loaded once per path (what-if sweeps
- * replay one entry under every controller in the grid). shared_ptr
- * values keep a decode alive for in-flight replays even when a
- * concurrent quarantine evicts its path.
+ * Decoded trace-library entries, one slot per path. The map lock
+ * guards only the path -> slot lookup; each slot's own mutex makes
+ * its decode single-flight, so different paths decode in parallel on
+ * the sweep workers. Exact-tier decodes belong to one cell and are
+ * held weakly: the last in-flight replay frees them. Shared (what-if)
+ * decodes are replayed under every controller in the grid, so they
+ * stay pinned for the life of the process.
  */
 struct LibraryTraceCache
 {
+    struct Slot
+    {
+        std::mutex mutex;
+        std::weak_ptr<const trace::TraceData> live;
+        std::shared_ptr<const trace::TraceData> pinned;
+    };
+
     std::mutex mutex;
-    std::map<std::string, std::shared_ptr<const trace::TraceData>>
-        entries;
+    std::map<std::string, std::shared_ptr<Slot>> slots;
 };
 
 LibraryTraceCache &
@@ -774,21 +792,32 @@ libraryTraceCache()
 }
 
 std::shared_ptr<const trace::TraceData>
-loadLibraryTrace(const std::string &path, std::string &error)
+loadLibraryTrace(const std::string &path, bool shared, std::string &error)
 {
     LibraryTraceCache &cache = libraryTraceCache();
-    const std::lock_guard<std::mutex> lock(cache.mutex);
-    const auto it = cache.entries.find(path);
-    if (it != cache.entries.end())
-        return it->second;
-    trace::TraceReadResult read = trace::readTraceFile(path);
-    if (!read.ok()) {
-        error = read.error;
-        return nullptr;
+    std::shared_ptr<LibraryTraceCache::Slot> slot;
+    {
+        const std::lock_guard<std::mutex> lock(cache.mutex);
+        std::shared_ptr<LibraryTraceCache::Slot> &entry = cache.slots[path];
+        if (entry == nullptr)
+            entry = std::make_shared<LibraryTraceCache::Slot>();
+        slot = entry;
     }
-    auto data = std::make_shared<const trace::TraceData>(
-        std::move(*read.trace));
-    cache.entries.emplace(path, data);
+    const std::lock_guard<std::mutex> lock(slot->mutex);
+    std::shared_ptr<const trace::TraceData> data = slot->live.lock();
+    if (data == nullptr) {
+        bumpCacheCounter("trace_cache.decodes");
+        trace::TraceReadResult read = trace::readTraceFile(path);
+        if (!read.ok()) {
+            error = read.error;
+            return nullptr;
+        }
+        data = std::make_shared<const trace::TraceData>(
+            std::move(*read.trace));
+        slot->live = data;
+    }
+    if (shared)
+        slot->pinned = data;
     return data;
 }
 
@@ -799,16 +828,7 @@ evictLibraryTrace(const std::string &path)
 {
     LibraryTraceCache &cache = libraryTraceCache();
     const std::lock_guard<std::mutex> lock(cache.mutex);
-    cache.entries.erase(path);
-}
-
-/** Timing-kind cache counter: kept out of the canonical metric
- *  sections, which must stay byte-identical to no-cache runs. */
-void
-bumpCacheCounter(const char *name)
-{
-    if (obs::metricsEnabled())
-        obs::reg().counter(name, obs::MetricKind::Timing).add(1);
+    cache.slots.erase(path);
 }
 
 /**
@@ -836,7 +856,7 @@ runFromLibrary(sim::ExperimentDriver &driver,
     if (got.status == trace::TraceLibrary::GetStatus::Hit) {
         std::string decode_err;
         const std::shared_ptr<const trace::TraceData> data =
-            loadLibraryTrace(got.tracePath, decode_err);
+            loadLibraryTrace(got.tracePath, key.shared, decode_err);
         if (data == nullptr) {
             // Truncated/corrupt entry: quarantined and recaptured,
             // never ingested.

@@ -1,8 +1,10 @@
 #include "trace/format.hh"
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 
 #include "common/logging.hh"
 #include "dvfs/objective.hh"
@@ -588,17 +590,49 @@ TraceWriter::~TraceWriter()
 
 // --- readTraceFile --------------------------------------------------
 
+namespace
+{
+
+std::atomic<TraceReadHook> traceReadHook{nullptr};
+
+} // namespace
+
+void
+setTraceReadHook(TraceReadHook hook)
+{
+    traceReadHook.store(hook);
+}
+
 TraceReadResult
 readTraceFile(const std::string &path)
 {
     TraceReadResult result;
-    std::ifstream is(path, std::ios::binary);
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
     if (!is) {
         result.error = "cannot open '" + path + "'";
         return result;
     }
-    std::string buf((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
+    // Only a regular file has a size to read in one go; a directory
+    // or a pipe is not a trace.
+    const std::streamoff size = is.tellg();
+    std::error_code ec;
+    if (size < 0 || !std::filesystem::is_regular_file(path, ec)) {
+        result.error = "'" + path + "' is not an epoch trace file";
+        return result;
+    }
+    if (const TraceReadHook hook = traceReadHook.load())
+        hook(path);
+    // One sized read. A file that shrank since the size query must be
+    // rejected, never decoded from a zero-padded tail.
+    std::string buf(static_cast<std::size_t>(size), '\0');
+    is.seekg(0);
+    is.read(buf.data(), size);
+    if (is.gcount() != size) {
+        result.error = "truncated trace file (read " +
+            std::to_string(is.gcount()) + " of " + std::to_string(size) +
+            " bytes)";
+        return result;
+    }
     if (buf.size() < 8 ||
         std::memcmp(buf.data(), fileMagic, sizeof(fileMagic)) != 0) {
         result.error = "'" + path + "' is not an epoch trace file";

@@ -235,6 +235,15 @@ struct TraceReadResult
  */
 TraceReadResult readTraceFile(const std::string &path);
 
+/** Callback readTraceFile runs between sizing a file and reading it. */
+using TraceReadHook = void (*)(const std::string &path);
+
+/**
+ * Test hook: install @p hook (nullptr removes it), so a test can
+ * shrink a file inside readTraceFile's size-then-read window.
+ */
+void setTraceReadHook(TraceReadHook hook);
+
 /**
  * Epoch observer that streams a live run into a TraceWriter. Wall
  * clock runs from construction to onRunEnd(), giving the trailer's

@@ -4,7 +4,8 @@
  * cache-key schema (what must miss, what may hit), publication and
  * sidecar guarding, corrupt-entry quarantine with live recapture, and
  * the SweepRunner determinism contract - a cached-replay sweep is
- * result-identical to a fresh-simulation sweep at any thread count.
+ * result-identical to a fresh-simulation sweep at any thread count -
+ * and the in-process decode memo's per-tier retention.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +14,15 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "obs/context.hh"
 #include "store/atomic_file.hh"
+#include "store/cell_codec.hh"
 #include "sweep_runner.hh"
+#include "trace/format.hh"
 #include "trace/library.hh"
 
 using namespace pcstall;
@@ -88,6 +93,34 @@ expectSameResult(const bench::RunOutcome &a, const bench::RunOutcome &b,
               b.result.predictionAccuracy) << what;
     EXPECT_EQ(a.result.transitions, b.result.transitions) << what;
     EXPECT_EQ(a.result.freqTimeShare, b.result.freqTimeShare) << what;
+}
+
+/** @return The cells' results in the results store's wire encoding,
+ *          so two sweeps compare byte for byte. */
+std::vector<std::string>
+encodedRuns(const std::vector<bench::CellOutcome> &out)
+{
+    std::vector<std::string> bytes;
+    for (const bench::CellOutcome &cell : out) {
+        store::StoredCell stored;
+        stored.run.result = cell.run.result;
+        stored.run.ok = cell.run.ok;
+        bytes.push_back(store::encodeStoredCell(stored));
+    }
+    return bytes;
+}
+
+/** @return The trace_cache.decodes tally of what @p body ran. */
+std::uint64_t
+countDecodes(const std::function<void()> &body)
+{
+    obs::resetAll();
+    obs::setMetricsEnabled(true);
+    body();
+    const obs::MetricsSnapshot snap = obs::collectedSnapshot();
+    obs::resetAll();
+    const auto it = snap.counters.find("trace_cache.decodes");
+    return it == snap.counters.end() ? 0 : it->second;
 }
 
 // ---------------------------------------------------------------- //
@@ -385,6 +418,110 @@ TEST(ReplaySweep, WhatIfTierSharesOneCaptureAcrossControllers)
                          "what-if cell " + std::to_string(i));
     }
     EXPECT_EQ(warm.traceCache()->entryCount(), 1u);
+}
+
+// ---------------------------------------------------------------- //
+// In-process decode memo                                            //
+// ---------------------------------------------------------------- //
+
+TEST(DecodeMemo, WarmExactSweepDecodesEachEntryOnce)
+{
+    const std::string dir = scratchDir("memoexact");
+    {
+        bench::SweepRunner cold(smallOptions(1, dir));
+        cold.run(smallGrid(cold));
+    }
+    // Cells replay their own exact entries in parallel: each of the
+    // five is decoded exactly once, and the results match serial.
+    std::vector<bench::CellOutcome> parallel;
+    EXPECT_EQ(countDecodes([&] {
+                  bench::SweepRunner warm(smallOptions(4, dir));
+                  parallel = warm.run(smallGrid(warm));
+              }),
+              5u);
+    // Exact decodes are released after replay, so a later sweep in
+    // the same process reads every entry again.
+    std::vector<bench::CellOutcome> serial;
+    EXPECT_EQ(countDecodes([&] {
+                  bench::SweepRunner warm(smallOptions(1, dir));
+                  serial = warm.run(smallGrid(warm));
+              }),
+              5u);
+    ASSERT_EQ(parallel.size(), serial.size());
+    EXPECT_EQ(encodedRuns(parallel), encodedRuns(serial));
+    expectSameResult(serial[0].baseline, parallel[0].baseline,
+                     "warm baseline");
+}
+
+TEST(DecodeMemo, WhatIfEntryIsDecodedOnceAcrossSequentialCells)
+{
+    const std::string cold_dir = scratchDir("memowhatif_cold");
+    bench::BenchOptions opts = smallOptions(1, cold_dir);
+    opts.traceWhatIf = true;
+    const auto grid = [](bench::SweepRunner &runner) {
+        std::vector<bench::SweepCell> cells;
+        cells.push_back(runner.cell("comd", "PCSTALL"));
+        cells.push_back(runner.cell("comd", "STALL"));
+        cells.push_back(runner.cell("comd", "GPHT"));
+        return cells;
+    };
+    std::vector<bench::CellOutcome> want;
+    {
+        bench::SweepRunner cold(opts);
+        want = cold.run(grid(cold));
+    }
+    // A copy of the library lives at paths this process never decoded.
+    const std::string warm_dir = scratchDir("memowhatif_warm");
+    fs::copy(cold_dir, warm_dir, fs::copy_options::recursive |
+                                     fs::copy_options::overwrite_existing);
+    opts.traceCacheDir = warm_dir;
+    // One thread: the three cells replay the shared entry one after
+    // another, and the pinned decode serves all three.
+    std::vector<bench::CellOutcome> warm_out;
+    EXPECT_EQ(countDecodes([&] {
+                  bench::SweepRunner warm(opts);
+                  warm_out = warm.run(grid(warm));
+              }),
+              1u);
+    EXPECT_EQ(encodedRuns(warm_out), encodedRuns(want));
+}
+
+TEST(DecodeMemo, RecaptureAfterQuarantineIsReReadNotServedStale)
+{
+    bench::SweepRunner fresh(smallOptions(1));
+    const auto want = encodedRuns(fresh.run(smallGrid(fresh)));
+
+    const std::string dir = scratchDir("memostale");
+    {
+        bench::SweepRunner cold(smallOptions(1, dir));
+        cold.run(smallGrid(cold));
+    }
+    // One warm pass in this process: decodes every entry, matches the
+    // uncached results, and returns the library's quarantine count.
+    const auto warm_pass = [&] {
+        std::vector<std::string> got;
+        std::size_t quarantined = 0;
+        EXPECT_EQ(countDecodes([&] {
+                      bench::SweepRunner warm(smallOptions(1, dir));
+                      got = encodedRuns(warm.run(smallGrid(warm)));
+                      quarantined = warm.traceCache()->quarantinedCount();
+                  }),
+                  5u);
+        EXPECT_EQ(got, want);
+        return quarantined;
+    };
+    EXPECT_EQ(warm_pass(), 0u);
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        if (entry.path().extension() == ".pctrace")
+            std::ofstream(entry.path(), std::ios::trunc) << "xx";
+    }
+    // The heal pass must read the clobbered files (not an earlier
+    // decode), quarantine them and recapture at the same paths...
+    const std::size_t healed = warm_pass();
+    EXPECT_GE(healed, 5u);
+    // ...and the next pass reads the recaptures: nothing stale is
+    // served, so nothing more is quarantined.
+    EXPECT_EQ(warm_pass(), healed);
 }
 
 } // namespace
