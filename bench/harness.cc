@@ -303,17 +303,6 @@ BenchOptions::parse(int argc, char **argv)
     opts.watchdog = cli.has("watchdog");
     opts.ecc = cli.has("ecc");
 
-    const std::string oracle_mode = cli.get("oracle-mode", "pool");
-    if (oracle_mode == "copy") {
-        opts.oracleMode = sim::OracleMode::Copy;
-    } else if (oracle_mode == "pool") {
-        opts.oracleMode = sim::OracleMode::Pool;
-    } else if (oracle_mode == "pool-full") {
-        opts.oracleMode = sim::OracleMode::PoolFull;
-    } else {
-        warn("--oracle-mode must be copy|pool|pool-full (got '" +
-             oracle_mode + "'); using pool");
-    }
     const std::int64_t oracle_threads = cli.getInt("oracle-threads", 1);
     if (oracle_threads < 1) {
         warn("--oracle-threads must be >= 1 (using 1)");
@@ -487,7 +476,6 @@ BenchOptions::runConfig() const
     cfg.perfDegradationLimit = perfDegradationLimit;
     cfg.collectTrace = collectTrace;
     cfg.auditRegret = auditRegret || !provenanceOut.empty();
-    cfg.oracleMode = oracleMode;
     cfg.oracleThreads = oracleThreads;
     cfg.scaled();
     return cfg;
@@ -501,7 +489,6 @@ BenchOptions::profileConfig() const
     cfg.gpu.seed = seed;
     cfg.epochLen = epochLen;
     cfg.cusPerDomain = cusPerDomain;
-    cfg.poolSnapshots = oracleMode != sim::OracleMode::Copy;
     cfg.oracleThreads = oracleThreads;
     power::PowerParams ignored;
     sim::scaleToCus(cfg.gpu, ignored, cus);
@@ -690,30 +677,6 @@ hierarchicalMetaOf(const dvfs::DvfsController &controller)
 }
 
 /**
- * Decoded --replay traces, loaded once per file. Thread-safe: sweep
- * cells replaying the same capture share one decode. The mutex spans
- * the file read so concurrent first loads of one path cannot race;
- * map values are stable addresses, and entries are only ever added,
- * so returned pointers stay valid for the life of the process.
- */
-const trace::TraceData *
-loadReplayTrace(const std::string &path)
-{
-    static std::mutex m;
-    static std::map<std::string, trace::TraceData> cache;
-    const std::lock_guard<std::mutex> lock(m);
-    const auto it = cache.find(path);
-    if (it != cache.end())
-        return &it->second;
-    trace::TraceReadResult read = trace::readTraceFile(path);
-    if (!read.ok()) {
-        warn("--replay: " + read.error);
-        return nullptr;
-    }
-    return &cache.emplace(path, std::move(*read.trace)).first->second;
-}
-
-/**
  * Run the driver live, attaching the timeline recorder (when enabled)
  * alongside an optional extra observer such as trace capture.
  */
@@ -763,13 +726,14 @@ bumpCacheCounter(const char *name)
 }
 
 /**
- * Decoded trace-library entries, one slot per path. The map lock
- * guards only the path -> slot lookup; each slot's own mutex makes
- * its decode single-flight, so different paths decode in parallel on
- * the sweep workers. Exact-tier decodes belong to one cell and are
- * held weakly: the last in-flight replay frees them. Shared (what-if)
- * decodes are replayed under every controller in the grid, so they
- * stay pinned for the life of the process.
+ * Decoded traces, one slot per path: trace-library entries and
+ * --replay captures alike. The map lock guards only the path -> slot
+ * lookup; each slot's own mutex makes its decode single-flight, so
+ * different paths decode in parallel on the sweep workers.
+ * Exact-tier library decodes belong to one cell and are held weakly:
+ * the last in-flight replay frees them. Shared (what-if) decodes and
+ * --replay captures may be replayed by many cells, so they stay
+ * pinned for the life of the process.
  */
 struct LibraryTraceCache
 {
@@ -1033,10 +997,16 @@ runTraced(sim::ExperimentDriver &driver,
     driver.setProvenance(prov);
     if (!opts.replayTrace.empty()) {
         // Symmetric with capture: repeat N replays the -rN capture.
-        const trace::TraceData *data = loadReplayTrace(
-            expandRunPath(opts.replayTrace, workload,
-                          ctrl->name(), run_index));
-        if (data != nullptr) {
+        // The decode is pinned like a what-if entry: several cells may
+        // replay one file.
+        std::string replay_err;
+        const std::shared_ptr<const trace::TraceData> data =
+            loadLibraryTrace(expandRunPath(opts.replayTrace, workload,
+                                           ctrl->name(), run_index),
+                             true, replay_err);
+        if (data == nullptr) {
+            warn("--replay: " + replay_err);
+        } else {
             if (data->meta.workload != workload) {
                 warn("--replay: trace was captured on '" +
                      data->meta.workload + "', not '" + workload +

@@ -2,16 +2,15 @@
  * @file
  * Tracked performance benchmark suite (docs/performance.md).
  *
- * Times the simulator's hot paths - oracle fork-pre-execute sweeps in
- * every snapshot mode, raw epoch simulation, predictor table updates,
- * trace encoding - plus end-to-end experiment cells (ACCPC per
- * oracle snapshot mode, PCSTALL with and without the decision-
- * provenance audit), as median-of-N wall times. Alongside the
- * timings it *always* verifies that the copy, pooled and
- * pooled+parallel oracle paths produce bit-identical estimates and
- * that end-to-end runs produce bit-identical metrics (audited
- * included), so a perf regression can never hide a correctness
- * regression.
+ * Times the simulator's hot paths - oracle fork-pre-execute sweeps
+ * (fresh copies, pooled restores, pooled + parallel samples), raw
+ * epoch simulation, predictor table updates, trace encoding - plus
+ * end-to-end experiment cells (ACCPC, PCSTALL with and without the
+ * decision-provenance audit), as median-of-N wall times. Alongside
+ * the timings it *always* verifies that the three sweep paths
+ * produce bit-identical estimates and that repeated and audited
+ * end-to-end runs produce bit-identical metrics, so a perf
+ * regression can never hide a correctness regression.
  *
  * Modes:
  *  - default: run the suite, print a table (honours --csv);
@@ -24,8 +23,9 @@
  *    carry scheduler interference, while the min approaches the true
  *    cost of the code path. Absolute comparisons use --tolerance
  *    (default 4.0x, generous because CI machines differ); same-machine
- *    mode ratios (pooled/delta vs copy) use fixed bands. Non-zero
- *    exit on regression.
+ *    ratios (pooled vs fresh-copy sweep, audited vs unaudited cell,
+ *    warm vs cold replay) use fixed bands. Non-zero exit on
+ *    regression.
  *
  * Flags beyond the common set: --repeats N (default 5), --out FILE,
  * --check-regression FILE, --tolerance X, --oracle-threads N (thread
@@ -39,6 +39,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -357,7 +358,7 @@ main(int argc, char **argv)
             ? opts.oracleThreads : 4;
 
         bench::banner("PERF SUITE",
-                      "Hot-path wall times and mode identity", opts);
+                      "Hot-path wall times and identity checks", opts);
 
         const std::string workload = opts.firstWorkload("comd");
         const auto app = bench::makeApp(workload, opts);
@@ -385,46 +386,12 @@ main(int argc, char **argv)
             fatalIf(copy.now() != chip.now(), "copy diverged");
         }));
 
-        // Full-restore pool: copy-assign restores only, the pooled
-        // reference mode the committed baseline names refer to.
         oracle::SnapshotPool pool;
-        pool.setDeltaRestore(false);
         pool.ensureSlots(table.numStates());
         timings.push_back(timeBench("pool_restore", repeats, [&] {
             gpu::GpuChip &c = pool.restore(0, chip);
             fatalIf(c.now() != chip.now(), "restore diverged");
         }));
-
-        // Delta restore: per iteration, pre-execute one epoch on the
-        // slot chip (untimed prep) so it diverges from the base the
-        // way a real oracle sample does, then time the steady-state
-        // per-sweep resync: take the base's dirt and copy only the
-        // dirty regions back.
-        oracle::SnapshotPool delta_pool;
-        delta_pool.ensureSlots(1, chip);
-        delta_pool.beginSweep(chip);
-        delta_pool.restore(0, chip); // anchor the delta chain
-        timings.push_back(timeBenchPrepared(
-            "chip_delta_restore", repeats,
-            [&] {
-                delta_pool.beginSweep(chip);
-                gpu::GpuChip &c = delta_pool.restore(0, chip);
-                c.runUntil(chip.now() + opts.epochLen);
-                c.harvestEpoch(chip.now(), scratch_record);
-            },
-            [&] {
-                delta_pool.beginSweep(chip);
-                gpu::GpuChip &c = delta_pool.restore(0, chip);
-                fatalIf(c.now() != chip.now(), "delta restore diverged");
-            }));
-        fatalIf(delta_pool.deltaRestores() == 0,
-                "chip_delta_restore never took the delta path");
-        {
-            delta_pool.beginSweep(chip);
-            gpu::GpuChip &c = delta_pool.restore(0, chip);
-            fatalIf(c.stateFingerprint() != chip.stateFingerprint(),
-                    "delta-restored chip fingerprint diverged");
-        }
 
         // --- one oracle sample: restore + simulate + harvest ---
         timings.push_back(timeBench("epoch_simulate", repeats, [&] {
@@ -433,7 +400,7 @@ main(int argc, char **argv)
             c.harvestEpoch(chip.now(), scratch_record);
         }));
 
-        // --- full sweeps, one per snapshot mode, identity-checked ---
+        // --- full sweeps: fresh copies, pooled, pooled + parallel ---
         oracle::SweepOptions copy_opts;
         std::uint64_t copy_fp = 0;
         timings.push_back(timeBench("oracle_fork_copy", repeats, [&] {
@@ -450,22 +417,6 @@ main(int argc, char **argv)
             fatalIf(fp != copy_fp,
                     "pooled sweep diverged from copy sweep");
         }));
-
-        // Same sweep through a delta-restoring pool (the default for
-        // experiment runs). Identity against the copy sweep makes this
-        // benchmark double as the delta-correctness gate.
-        oracle::SnapshotPool sweep_delta_pool;
-        oracle::SweepOptions delta_opts;
-        delta_opts.pool = &sweep_delta_pool;
-        timings.push_back(timeBench("oracle_fork_delta", repeats, [&] {
-            const std::uint64_t fp =
-                estimatesFingerprint(oracle::forkPreExecuteSweep(
-                    chip, domains, table, opts.epochLen, delta_opts));
-            fatalIf(fp != copy_fp,
-                    "delta sweep diverged from copy sweep");
-        }));
-        fatalIf(sweep_delta_pool.deltaRestores() == 0,
-                "oracle_fork_delta never took the delta path");
 
         sim::ParallelExecutor exec(mt_threads);
         oracle::SweepOptions mt_opts = pool_opts;
@@ -517,28 +468,19 @@ main(int argc, char **argv)
             std::remove(tmp.c_str());
         }
 
-        // --- end-to-end ACCPC cell, copy vs pooled ---
-        auto run_cell = [&](sim::OracleMode mode) {
+        // --- end-to-end ACCPC cell; every repeat must reproduce the
+        // warmup run's metrics bit for bit.
+        std::optional<std::uint64_t> accpc_fp;
+        timings.push_back(timeBench("e2e_accpc_pool", repeats, [&] {
             sim::RunConfig cfg = opts.runConfig();
-            cfg.oracleMode = mode;
             sim::ExperimentDriver driver(cfg);
             auto controller = bench::makeController("ACCPC", cfg);
-            return driver.run(app, *controller);
-        };
-        std::uint64_t e2e_copy_fp = 0;
-        timings.push_back(timeBench("e2e_accpc_copy", repeats, [&] {
-            e2e_copy_fp = resultFingerprint(
-                run_cell(sim::OracleMode::Copy));
-        }));
-        timings.push_back(timeBench("e2e_accpc_pool", repeats, [&] {
-            fatalIf(resultFingerprint(run_cell(
-                        sim::OracleMode::PoolFull)) != e2e_copy_fp,
-                    "pooled e2e run diverged from copy run");
-        }));
-        timings.push_back(timeBench("e2e_accpc_delta", repeats, [&] {
-            fatalIf(resultFingerprint(run_cell(
-                        sim::OracleMode::Pool)) != e2e_copy_fp,
-                    "delta e2e run diverged from copy run");
+            const std::uint64_t fp =
+                resultFingerprint(driver.run(app, *controller));
+            if (!accpc_fp)
+                accpc_fp = fp;
+            fatalIf(fp != *accpc_fp,
+                    "e2e ACCPC run diverged from its first run");
         }));
 
         // --- decision provenance: audited end-to-end cell ---
@@ -621,8 +563,8 @@ main(int argc, char **argv)
         }
 
         inform("identity checks passed: "
-               "copy == pool == delta == pool+mt == audited == "
-               "replayed");
+               "copy == pool == pool+mt, e2e repeats, audited == "
+               "unaudited, replayed == captured");
 
         // --- report ---
         obs::Registry &reg = obs::reg();
@@ -650,17 +592,12 @@ main(int argc, char **argv)
 
         bench::emit(opts, out_table);
         std::printf(
-            "\nmode ratios (this machine, min-of-N): "
-            "fork pool/copy %.2f, fork delta/copy %.2f, "
-            "e2e pool/copy %.2f, e2e delta/copy %.2f\n",
+            "\nsweep ratios (this machine, min-of-N): "
+            "fork pool/copy %.2f, fork pool_mt/pool %.2f\n",
             min_of("oracle_fork_pool") /
                 std::max(min_of("oracle_fork_copy"), 1.0),
-            min_of("oracle_fork_delta") /
-                std::max(min_of("oracle_fork_copy"), 1.0),
-            min_of("e2e_accpc_pool") /
-                std::max(min_of("e2e_accpc_copy"), 1.0),
-            min_of("e2e_accpc_delta") /
-                std::max(min_of("e2e_accpc_copy"), 1.0));
+            min_of("oracle_fork_pool_mt") /
+                std::max(min_of("oracle_fork_pool"), 1.0));
 
         if (!out_path.empty())
             writeJson(out_path, opts, workload, repeats, mt_threads,
@@ -699,36 +636,11 @@ main(int argc, char **argv)
                     }
                 }
             }
-            // Same-machine invariants: the pooled and delta paths
-            // must never meaningfully lose to the dumber modes they
-            // exist to beat.
+            // Same-machine invariant: pooled restores must never
+            // meaningfully lose to the fresh copies they replace.
             if (min_of("oracle_fork_pool") >
                 min_of("oracle_fork_copy") * 1.25) {
                 warn("pooled sweep slower than copy sweep by >25%");
-                ++failures;
-            }
-            if (min_of("oracle_fork_delta") >
-                min_of("oracle_fork_pool") * 1.25) {
-                warn("delta sweep slower than full-restore pooled "
-                     "sweep by >25%");
-                ++failures;
-            }
-            if (min_of("chip_delta_restore") > min_of("chip_copy")) {
-                warn("delta restore slower than a full chip copy");
-                ++failures;
-            }
-            // e2e cells run hundreds of ms and pick up the most
-            // scheduler noise; the bands are wide enough to survive a
-            // busy machine while still catching a real mode
-            // regression.
-            if (min_of("e2e_accpc_pool") >
-                min_of("e2e_accpc_copy") * 1.35) {
-                warn("pooled e2e cell slower than copy cell by >35%");
-                ++failures;
-            }
-            if (min_of("e2e_accpc_delta") >
-                min_of("e2e_accpc_copy") * 1.35) {
-                warn("delta e2e cell slower than copy cell by >35%");
                 ++failures;
             }
             // The decision audit re-scores every candidate state

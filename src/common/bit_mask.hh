@@ -2,12 +2,11 @@
  * @file
  * A small flat bitset over 64-bit words, sized at runtime.
  *
- * Used both for the ComputeUnit scheduling masks (ready / pending /
- * occupied wave slots) and for the snapshot dirty-region bitmaps
- * (wave slots per CU, cache sets per bank). The hot operations -
- * set, clear, test, word access and set-bit iteration - are all
- * inline and branch-light; the word array is a plain vector so the
- * mask itself is value-semantic and snapshots by assignment.
+ * Used for the ComputeUnit scheduling masks (ready / pending /
+ * occupied wave slots). The hot operations - set, clear, word access
+ * and set-bit iteration - are all inline and branch-light; the word
+ * array is a plain vector so the mask itself is value-semantic and
+ * snapshots by assignment.
  */
 
 #ifndef PCSTALL_COMMON_BIT_MASK_HH
@@ -40,38 +39,10 @@ class BitMask
         words_.assign(wordsFor(bits), 0);
     }
 
-    std::size_t size() const { return bits_; }
     std::size_t wordCount() const { return words_.size(); }
 
     void set(std::size_t i) { words_[i >> 6] |= 1ULL << (i & 63); }
     void reset(std::size_t i) { words_[i >> 6] &= ~(1ULL << (i & 63)); }
-
-    bool
-    test(std::size_t i) const
-    {
-        return (words_[i >> 6] >> (i & 63)) & 1ULL;
-    }
-
-    /** Set every bit (the tail of the last word stays clear). */
-    void
-    setAll()
-    {
-        if (words_.empty())
-            return;
-        for (std::uint64_t &w : words_)
-            w = ~0ULL;
-        const std::size_t tail = bits_ & 63;
-        if (tail != 0)
-            words_.back() = (1ULL << tail) - 1;
-    }
-
-    /** Clear every bit, keeping the size. */
-    void
-    clearAll()
-    {
-        for (std::uint64_t &w : words_)
-            w = 0;
-    }
 
     bool
     any() const
@@ -82,38 +53,7 @@ class BitMask
         return false;
     }
 
-    /** Number of set bits. */
-    std::size_t
-    count() const
-    {
-        std::size_t n = 0;
-        for (const std::uint64_t w : words_)
-            n += static_cast<std::size_t>(std::popcount(w));
-        return n;
-    }
-
     std::uint64_t word(std::size_t wi) const { return words_[wi]; }
-    std::uint64_t &word(std::size_t wi) { return words_[wi]; }
-
-    /** OR another mask in. An empty (unsized) mask adopts the other's
-     *  size first, so accumulation buffers need no explicit sizing. */
-    BitMask &
-    operator|=(const BitMask &other)
-    {
-        if (words_.size() < other.words_.size()) {
-            words_.resize(other.words_.size(), 0);
-            bits_ = other.bits_;
-        }
-        for (std::size_t wi = 0; wi < other.words_.size(); ++wi)
-            words_[wi] |= other.words_[wi];
-        return *this;
-    }
-
-    bool
-    operator==(const BitMask &other) const
-    {
-        return bits_ == other.bits_ && words_ == other.words_;
-    }
 
     /**
      * Call @p fn(index) for every set bit in ascending order. @p fn
@@ -136,7 +76,7 @@ class BitMask
         }
     }
 
-    /** Call @p fn(index) for every *clear* bit below size(), ascending. */
+    /** Call @p fn(index) for every *clear* bit below the size, ascending. */
     template <typename Fn>
     void
     forEachClear(Fn &&fn) const

@@ -13,8 +13,7 @@
  * (wstate_/readyAt_/seq_) next to ready/pending/occupied bitmasks, so
  * the per-tick scans (wake, pick-ready, sleep classification) iterate
  * mask words and a few contiguous arrays instead of striding through
- * the cold Wavefront records. The CU also tracks which slots changed
- * since the last snapshot take (dirty-region delta restores).
+ * the cold Wavefront records.
  */
 
 #ifndef PCSTALL_GPU_COMPUTE_UNIT_HH
@@ -130,48 +129,10 @@ class ComputeUnit
      * Mix this CU's complete simulation state (scheduling, accrual
      * markers, per-epoch counters and every resident wavefront) into
      * the FNV-style digest @p h. Used by GpuChip::stateFingerprint()
-     * to verify snapshot restores and sweep const-ness.
+     * to verify snapshot restores and sweep const-ness, so a new
+     * simulation-state member must be mixed in here too.
      */
     void fingerprint(std::uint64_t &h) const;
-
-    // --- dirty-region snapshot support -------------------------------
-    //
-    // Every mutating entry point marks the CU (and the touched wave
-    // slots) dirty; takeDirty() hands the accumulated marks to a
-    // snapshot pool and clears them. The flags are mutable so a const
-    // base chip can be taken from. If you add a member to this class,
-    // wire it into fingerprint() AND restoreDeltaFrom() (the
-    // restore-exactness tests in test_snapshot_delta.cc catch misses).
-
-    /** Mark the CU's scheduling scalars dirty (external reschedule). */
-    void markScheduleDirty() const { cuDirty_ = true; }
-
-    /**
-     * Copy the dirty marks into @p slots_out, clear them, and return
-     * whether anything on this CU changed since the previous take.
-     */
-    bool
-    takeDirty(BitMask &slots_out) const
-    {
-        slots_out = dirtySlots_;
-        dirtySlots_.clearAll();
-        const bool touched = cuDirty_;
-        cuDirty_ = false;
-        return touched;
-    }
-
-    /** True when unharvested dirty marks are pending. */
-    bool hasPendingDirty() const { return cuDirty_; }
-
-    /**
-     * Make this CU equal to @p base, given that the two differ only
-     * in the CU-level scalars plus the wave slots set in @p
-     * dirty_slots (the union of both chips' dirt since they were last
-     * identical). Scalars, SoA arrays and the small vectors copy
-     * wholesale; cold Wavefront records copy per dirty slot only.
-     */
-    void restoreDeltaFrom(const ComputeUnit &base,
-                          const BitMask &dirty_slots);
 
   private:
     /** Retire CU-level load completions up to @p now. */
@@ -197,7 +158,7 @@ class ComputeUnit
 
     /**
      * Move slot @p i to state @p ns, maintaining the ready/pending/
-     * occupied masks, the ready/free counters and the dirty marks.
+     * occupied masks and the ready/free counters.
      * The single chokepoint for wave-state transitions.
      */
     void
@@ -227,7 +188,6 @@ class ComputeUnit
         if (ns == WaveState::WaitMem)
             memMask_.set(i);
         wstate_[i] = ns;
-        dirtySlots_.set(i);
     }
 
     std::uint32_t cuId = 0;
@@ -306,12 +266,6 @@ class ComputeUnit
     Tick epStoreStall = 0;
     Tick epLeadLoad = 0;
     Tick epMemInterval = 0;
-
-    // --- dirty marks (snapshot delta support; not simulation state) ---
-    /** Anything on this CU changed since the last takeDirty(). */
-    mutable bool cuDirty_ = true;
-    /** Wave slots whose cold record changed since the last take. */
-    mutable BitMask dirtySlots_;
 };
 
 } // namespace pcstall::gpu

@@ -1,7 +1,6 @@
 #include "gpu/gpu_chip.hh"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -9,28 +8,6 @@
 
 namespace pcstall::gpu
 {
-
-SnapshotIdentity::SnapshotIdentity()
-{
-    static std::atomic<std::uint64_t> next_uid{1};
-    uid = next_uid.fetch_add(1, std::memory_order_relaxed);
-}
-
-SnapshotIdentity::SnapshotIdentity(const SnapshotIdentity &)
-    : SnapshotIdentity()
-{
-}
-
-SnapshotIdentity &
-SnapshotIdentity::operator=(const SnapshotIdentity &)
-{
-    // Assignment makes the owning chip a different simulation: new
-    // lineage, no takes yet.
-    const SnapshotIdentity fresh;
-    uid = fresh.uid;
-    takeSeq = 0;
-    return *this;
-}
 
 namespace
 {
@@ -122,8 +99,6 @@ GpuChip::runUntil(Tick until)
                     continue;
                 if (cus[i].nextEventAt > t) {
                     cus[i].nextEventAt = t;
-                    // The reschedule mutates CU state outside step().
-                    cus[i].markScheduleDirty();
                     queue.schedule(i, t);
                 }
             }
@@ -193,42 +168,6 @@ GpuChip::stateFingerprint() const
         cu.fingerprint(h);
     mem.fingerprint(h);
     return h;
-}
-
-std::uint64_t
-GpuChip::takeDirty(ChipDirty &out) const
-{
-    if (out.cuTouched.size() != cus.size()) {
-        out.cuTouched.assign(cus.size(), 0);
-        out.cuSlots.resize(cus.size());
-    }
-    for (std::size_t i = 0; i < cus.size(); ++i)
-        out.cuTouched[i] = cus[i].takeDirty(out.cuSlots[i]) ? 1 : 0;
-    mem.takeDirty(out.mem);
-    return ++ident_.takeSeq;
-}
-
-bool
-GpuChip::hasPendingDirty() const
-{
-    for (const ComputeUnit &cu : cus)
-        if (cu.hasPendingDirty())
-            return true;
-    return mem.hasPendingDirty();
-}
-
-void
-GpuChip::restoreDeltaFrom(const GpuChip &base, const ChipDirty &dirty)
-{
-    panicIf(app.get() != base.app.get() || cus.size() != base.cus.size(),
-            "restoreDeltaFrom: chips are not copies of each other");
-    curTick = base.curTick;
-    dispatch = base.dispatch;
-    for (std::size_t i = 0; i < cus.size(); ++i) {
-        if (dirty.cuTouched[i])
-            cus[i].restoreDeltaFrom(base.cus[i], dirty.cuSlots[i]);
-    }
-    mem.restoreDeltaFrom(base.mem, dirty.mem);
 }
 
 std::uint64_t

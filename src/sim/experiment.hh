@@ -38,22 +38,6 @@ namespace pcstall::sim
 void scaleToCus(gpu::GpuConfig &gpu_cfg, power::PowerParams &power_cfg,
                 std::uint32_t num_cus);
 
-/** Chip-snapshot strategy for the fork-pre-execute oracle sweeps. */
-enum class OracleMode
-{
-    /** Deep-copy the chip once per V/f sample (legacy reference
-     *  path; allocation-heavy but trivially correct). */
-    Copy,
-    /** Restore pooled scratch chips, copying only dirty regions - no
-     *  steady-state allocations, byte-identical results
-     *  (docs/performance.md). */
-    Pool,
-    /** Pooled restores with the delta path disabled: every restore is
-     *  a full copy-assign. Reference mode for the delta identity
-     *  checks in tests and CI. */
-    PoolFull,
-};
-
 /** Configuration of one experiment run. */
 struct RunConfig
 {
@@ -83,8 +67,6 @@ struct RunConfig
     bool watchdogFallback = false;
     /** Parity-protect PC tables (scrub corrupted entries on lookup). */
     bool eccProtectTables = false;
-    /** Snapshot strategy for oracle sweeps. */
-    OracleMode oracleMode = OracleMode::Pool;
     /** Worker threads for in-cell oracle sample parallelism (<= 1 =
      *  serial; results are independent of the thread count). */
     unsigned oracleThreads = 1;

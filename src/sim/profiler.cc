@@ -48,12 +48,10 @@ SensitivityProfiler::profile(
     oracle::SweepOptions opts;
     opts.shuffle = cfg.shuffle;
     opts.waveLevel = cfg.waveLevel;
-    if (cfg.poolSnapshots) {
-        opts.pool = &pool;
-        if (cfg.oracleThreads > 1)
-            exec = std::make_unique<ParallelExecutor>(cfg.oracleThreads);
-        opts.executor = exec.get();
-    }
+    opts.pool = &pool;
+    if (cfg.oracleThreads > 1)
+        exec = std::make_unique<ParallelExecutor>(cfg.oracleThreads);
+    opts.executor = exec.get();
 
     Tick epoch_start = 0;
     std::size_t epoch_index = 0;

@@ -2,9 +2,10 @@
  * @file
  * Regression tests for the hot-path performance work
  * (docs/performance.md): the pooled snapshot oracle and the in-cell
- * parallel sweep must be byte-identical to the legacy per-sample-copy
- * path, must leave the input chip untouched, must reuse pool storage
- * across epochs, and must not allocate per-sample in steady state.
+ * parallel sweep must be byte-identical to a sweep over fresh
+ * per-sample copies, must leave the input chip untouched, must reuse
+ * pool storage across epochs, and must not allocate per-sample in
+ * steady state.
  *
  * The binary overrides global operator new/delete with a counting
  * shim so the allocation guard can measure the sweep hot path
@@ -98,10 +99,6 @@ smallOpts()
     return opts;
 }
 
-/** The workloads the identity matrix runs over (ISSUE: three). */
-const std::vector<std::string> kWorkloads = {"comd", "lulesh",
-                                             "minife"};
-
 /** Exact field-by-field RunResult comparison (no tolerances). */
 void
 expectIdenticalResults(const sim::RunResult &a, const sim::RunResult &b,
@@ -129,13 +126,12 @@ expectIdenticalResults(const sim::RunResult &a, const sim::RunResult &b,
 
 sim::RunResult
 runCell(const std::string &workload, const std::string &controller,
-        sim::OracleMode mode, unsigned oracle_threads)
+        unsigned oracle_threads)
 {
     const bench::BenchOptions opts = smallOpts();
     const auto app = bench::makeApp(workload, opts);
     EXPECT_TRUE(app);
     sim::RunConfig cfg = opts.runConfig();
-    cfg.oracleMode = mode;
     cfg.oracleThreads = oracle_threads;
     sim::ExperimentDriver driver(cfg);
     const auto ctrl = bench::makeController(controller, cfg);
@@ -177,34 +173,12 @@ warmChip(const std::string &workload, const bench::BenchOptions &opts)
 
 } // namespace
 
-// --- pooled-vs-copy end-to-end identity -----------------------------
-
-TEST(PerfPath, PooledRunsAreByteIdenticalAcrossWorkloadsAndControllers)
-{
-    for (const std::string &workload : kWorkloads) {
-        for (const std::string &controller :
-             {std::string("ACCPC"), std::string("ORACLE")}) {
-            const auto copy =
-                runCell(workload, controller, sim::OracleMode::Copy, 1);
-            const auto pool =
-                runCell(workload, controller, sim::OracleMode::Pool, 1);
-            const auto pool_full = runCell(
-                workload, controller, sim::OracleMode::PoolFull, 1);
-            expectIdenticalResults(copy, pool,
-                                   workload + "/" + controller);
-            expectIdenticalResults(copy, pool_full,
-                                   workload + "/" + controller +
-                                       "/pool-full");
-        }
-    }
-}
+// --- thread-count identity -----------------------------------------
 
 TEST(PerfPath, OracleThreadCountDoesNotChangeResults)
 {
-    const auto serial =
-        runCell("comd", "ACCPC", sim::OracleMode::Pool, 1);
-    const auto threaded =
-        runCell("comd", "ACCPC", sim::OracleMode::Pool, 4);
+    const auto serial = runCell("comd", "ACCPC", 1);
+    const auto threaded = runCell("comd", "ACCPC", 4);
     expectIdenticalResults(serial, threaded, "threads 1 vs 4");
 }
 
@@ -265,10 +239,6 @@ TEST(PerfPath, PoolIsReusedAcrossEpochsAndStaysIdenticalToCopies)
         // never grows past that across epochs.
         EXPECT_EQ(pool.slotCount(), table.numStates());
     }
-
-    // From the second sweep on, every restore is served by the delta
-    // path (the first sweep full-restores to anchor the chains).
-    EXPECT_GE(pool.deltaRestores(), 2 * table.numStates());
 }
 
 TEST(PerfPath, ClearKeepsCapacityAndNextSweepStaysIdentical)
@@ -286,9 +256,9 @@ TEST(PerfPath, ClearKeepsCapacityAndNextSweepStaysIdentical)
     ASSERT_EQ(pool.slotCount(), table.numStates());
     const std::uint64_t full_before = pool.fullRestores();
 
-    // clear() forgets snapshot state (delta chains included) but keeps
-    // every allocated slot chip, so a driver switching applications
-    // does not re-pay the pool's construction cost.
+    // clear() empties the per-slot buffers but keeps every allocated
+    // slot chip, so a driver switching applications does not re-pay
+    // the pool's construction cost.
     pool.clear();
     EXPECT_EQ(pool.slotCount(), table.numStates());
 
@@ -297,9 +267,8 @@ TEST(PerfPath, ClearKeepsCapacityAndNextSweepStaysIdentical)
     const auto reference = oracle::forkPreExecuteSweep(
         *chip, domains, table, opts.epochLen, oracle::SweepOptions{});
     expectIdenticalEstimates(after_clear, reference);
-    // The post-clear sweep may not delta-restore against chains that
-    // were dropped: every slot full-restores once.
-    EXPECT_GE(pool.fullRestores(), full_before + table.numStates());
+    // The post-clear sweep restores every slot once.
+    EXPECT_EQ(pool.fullRestores(), full_before + table.numStates());
 }
 
 // --- const-ness of the input chip (restore verification) ------------
@@ -324,7 +293,7 @@ TEST(PerfPath, SweepLeavesInputChipUntouchedUnderVerification)
     EXPECT_FALSE(est.empty());
     EXPECT_EQ(chip->stateFingerprint(), before);
 
-    // Same property on the legacy copy path.
+    // Same property on the fresh-copy path.
     oracle::SweepOptions copy_verified;
     copy_verified.verifyRestore = true;
     (void)oracle::forkPreExecuteSweep(*chip, domains, table,
@@ -370,7 +339,8 @@ TEST(PerfPath, SteadyStatePooledSweepBarelyAllocates)
 
     // Running the sampled epochs allocates either way (cache / MSHR
     // bookkeeping inside the simulation), but the pooled sweep must
-    // at least save the per-sample chip copies the legacy path makes.
+    // at least save the per-sample chip copies the fresh-copy path
+    // makes.
     EXPECT_LT(pool_allocs, copy_allocs)
         << "pooled sweep should allocate strictly less than the "
         << "copy path (copy: " << copy_allocs

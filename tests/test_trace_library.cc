@@ -5,7 +5,8 @@
  * sidecar guarding, corrupt-entry quarantine with live recapture, and
  * the SweepRunner determinism contract - a cached-replay sweep is
  * result-identical to a fresh-simulation sweep at any thread count -
- * and the in-process decode memo's per-tier retention.
+ * and the in-process decode memo's per-tier retention, which also
+ * serves --replay sweeps.
  */
 
 #include <gtest/gtest.h>
@@ -484,6 +485,47 @@ TEST(DecodeMemo, WhatIfEntryIsDecodedOnceAcrossSequentialCells)
               }),
               1u);
     EXPECT_EQ(encodedRuns(warm_out), encodedRuns(want));
+}
+
+TEST(DecodeMemo, ParallelReplaySweepDecodesEachTracePathOnce)
+{
+    // Capture each cell's run to its own trace; the live results are
+    // what every replay must reproduce.
+    const std::string dir = scratchDir("memoreplay");
+    const std::string pattern = dir + "/t-{w}-{c}.pctrace";
+    bench::BenchOptions capture_opts = smallOptions(1);
+    capture_opts.traceOut = pattern;
+    bench::SweepRunner capture(capture_opts);
+    const auto want = encodedRuns(capture.run(smallGrid(capture)));
+    std::size_t traces = 0;
+    for (const auto &entry : fs::directory_iterator(dir))
+        traces += entry.path().extension() == ".pctrace" ? 1 : 0;
+    ASSERT_EQ(traces, 4u);
+
+    // The serial reference replays a copy of the traces, so the
+    // parallel sweep below meets paths this process never decoded.
+    const std::string copy_dir = scratchDir("memoreplay_copy");
+    fs::copy(dir, copy_dir, fs::copy_options::recursive |
+                                fs::copy_options::overwrite_existing);
+    bench::BenchOptions serial_opts = smallOptions(1);
+    serial_opts.replayTrace = copy_dir + "/t-{w}-{c}.pctrace";
+    std::vector<std::string> serial;
+    EXPECT_EQ(countDecodes([&] {
+                  bench::SweepRunner runner(serial_opts);
+                  serial = encodedRuns(runner.run(smallGrid(runner)));
+              }),
+              traces);
+
+    bench::BenchOptions parallel_opts = smallOptions(4);
+    parallel_opts.replayTrace = pattern;
+    std::vector<std::string> parallel;
+    EXPECT_EQ(countDecodes([&] {
+                  bench::SweepRunner runner(parallel_opts);
+                  parallel = encodedRuns(runner.run(smallGrid(runner)));
+              }),
+              traces);
+    EXPECT_EQ(parallel, serial);
+    EXPECT_EQ(parallel, want);
 }
 
 TEST(DecodeMemo, RecaptureAfterQuarantineIsReReadNotServedStale)
