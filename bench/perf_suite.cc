@@ -6,11 +6,11 @@
  * (fresh copies, pooled restores, pooled + parallel samples), raw
  * epoch simulation, predictor table updates, trace encoding - plus
  * end-to-end experiment cells (ACCPC, PCSTALL with and without the
- * decision-provenance audit), as median-of-N wall times. Alongside
- * the timings it *always* verifies that the three sweep paths
- * produce bit-identical estimates and that repeated and audited
- * end-to-end runs produce bit-identical metrics, so a perf
- * regression can never hide a correctness regression.
+ * decision-provenance audit, PCSTALL on the paper's 64-CU chip), as
+ * median-of-N wall times. Alongside the timings it *always* verifies
+ * that the three sweep paths produce bit-identical estimates and that
+ * repeated and audited end-to-end runs produce bit-identical metrics,
+ * so a perf regression can never hide a correctness regression.
  *
  * Modes:
  *  - default: run the suite, print a table (honours --csv);
@@ -509,6 +509,29 @@ main(int argc, char **argv)
                 fatalIf(log.records.empty() || log.regret.empty(),
                         "audited run produced no provenance");
             }));
+
+        // --- the paper's 64-CU chip: one PCSTALL cell whatever
+        // --cus says, where the event loop orders 64 CUs per tick;
+        // every repeat must reproduce the warmup run bit for bit.
+        {
+            bench::BenchOptions opts64 = opts;
+            opts64.cus = 64;
+            const auto app64 = bench::makeApp(workload, opts64);
+            fatalIf(!app64, "cannot build workload " + workload);
+            std::optional<std::uint64_t> pcstall64_fp;
+            timings.push_back(timeBench("e2e_pcstall_64", repeats, [&] {
+                sim::RunConfig cfg = opts64.runConfig();
+                sim::ExperimentDriver driver(cfg);
+                auto controller = bench::makeController("PCSTALL", cfg);
+                const std::uint64_t fp =
+                    resultFingerprint(driver.run(app64, *controller));
+                if (!pcstall64_fp)
+                    pcstall64_fp = fp;
+                fatalIf(fp != *pcstall64_fp,
+                        "e2e 64-CU PCSTALL run diverged from its first "
+                        "run");
+            }));
+        }
 
         // --- replay trace cache: capture-on-miss vs warm replay ---
         // A small design-study grid (four controllers over one

@@ -1,77 +1,72 @@
 /**
  * @file
- * A flat time-bucketed event queue for the GPU event loop.
+ * A tournament (winner) tree for the GPU event loop.
  *
- * Each compute unit has exactly one pending activation time, so the
- * event loop needs a monotone priority structure over at most numCus
- * keys with decrease-key (the launch-finished broadcast reschedules
- * every CU to "now"). The classic binary heap pays push_heap/pop_heap
- * per event plus stale-entry skips; this queue instead hashes times
- * into a ring of fixed-width buckets, each holding a CU bitmask, so
- * scheduling is two word-ops and popping scans one (usually the
- * current) bucket word.
+ * Each compute unit has at most one pending activation time, so the
+ * event loop needs a priority structure over at most numCus keys with
+ * in-place reschedule (the launch-finished broadcast reschedules every
+ * CU to "now"). The tree keeps one packed key, (tick << idBits) | id,
+ * per leaf, and every internal node holds the smaller of its two
+ * children, so the root is the minimum (tick, id). schedule() and
+ * popMin() rewrite one leaf and replay its path to the root: one
+ * compare per level, 6 levels at 64 CUs and 3 at 8.
  *
  * Ordering contract: popMin() returns scheduled entries in strictly
- * ascending (tick, id) lexicographic order, exactly the order the
- * previous std::priority_queue produced, provided no entry is ever
- * scheduled earlier than the most recently popped tick (the event
- * loop guarantees this: a step at time t only schedules times >= t).
- * Times at or beyond the ring horizon park in an overflow mask and
- * migrate into the ring as the cursor advances.
+ * ascending (tick, id) lexicographic order, one live entry per id,
+ * for any sequence of schedules at ticks in [0, maxTick()].
  */
 
 #ifndef PCSTALL_GPU_EVENT_QUEUE_HH
 #define PCSTALL_GPU_EVENT_QUEUE_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
-#include "common/bit_mask.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace pcstall::gpu
 {
 
-/** Bucketed one-event-per-id priority queue over ticks. */
-class TickBucketQueue
+/** Winner-tree priority queue holding one pending tick per id. */
+class TournamentQueue
 {
   public:
     /**
-     * Prepare for a run over @p n ids starting at time @p start.
-     * Drops any previously scheduled entries; buffers are reused.
+     * Prepare for a run over ids [0, @p n). Drops any previously
+     * scheduled entries; the buffer is reused.
      */
     void
-    reset(std::uint32_t n, Tick start)
+    reset(std::uint32_t n)
     {
-        words_ = BitMask::wordsFor(n);
-        ring_.assign(kBuckets * words_, 0);
-        overflow_.assign(words_, 0);
-        when_.assign(n, kNever);
-        posAbs_.assign(n, 0);
-        cursor_ = bucketOf(start);
-        overflowFloor_ = kNoFloor;
-        count_ = 0;
+        idBits_ = static_cast<unsigned>(std::bit_width(n > 0 ? n - 1 : 0));
+        maxTick_ = std::min<std::uint64_t>(
+            (kEmpty >> idBits_) - 1,
+            static_cast<std::uint64_t>(std::numeric_limits<Tick>::max()));
+        leaves_ = std::bit_ceil(std::max<std::size_t>(n, 1));
+        tree_.assign(2 * leaves_, kEmpty);
     }
 
-    bool empty() const { return count_ == 0; }
+    bool empty() const { return tree_[1] == kEmpty; }
+
+    /** Largest tick schedule() accepts after reset(n) (key packing). */
+    Tick maxTick() const { return static_cast<Tick>(maxTick_); }
 
     /**
-     * Schedule (or reschedule) @p id at time @p t. @p t must be at or
-     * after the most recently popped tick (monotone event loop).
+     * Schedule (or reschedule) @p id at time @p t. Throws FatalError
+     * when @p t lies outside [0, maxTick()].
      */
     void
     schedule(std::uint32_t id, Tick t)
     {
-        if (when_[id] != kNever)
-            removeBit(id);
-        else
-            ++count_;
-        when_[id] = t;
-        std::uint64_t abs = bucketOf(t);
-        if (abs < cursor_)
-            abs = cursor_;
-        placeBit(id, abs);
+        if (static_cast<std::uint64_t>(t) > maxTick_) [[unlikely]]
+            fatal("event queue: tick " + std::to_string(t) +
+                  " outside [0, " + std::to_string(maxTick_) + "]");
+        replay(id, (static_cast<std::uint64_t>(t) << idBits_) | id);
     }
 
     /**
@@ -81,154 +76,37 @@ class TickBucketQueue
     bool
     popMin(Tick &t_out, std::uint32_t &id_out)
     {
-        if (count_ == 0)
+        const std::uint64_t key = tree_[1];
+        if (key == kEmpty)
             return false;
-
-        // Find the first non-empty ring bucket at or after the cursor.
-        std::size_t step = 0;
-        for (; step < kBuckets; ++step) {
-            if (bucketAny(cursor_ + step))
-                break;
-        }
-        if (step == kBuckets) {
-            // Ring drained: jump the cursor to the earliest overflow
-            // entry and pull the near ones in.
-            std::uint64_t min_abs = kNoFloor;
-            for (std::size_t wi = 0; wi < words_; ++wi) {
-                std::uint64_t w = overflow_[wi];
-                while (w != 0) {
-                    const std::uint32_t id = static_cast<std::uint32_t>(
-                        (wi << 6) + std::countr_zero(w));
-                    const std::uint64_t abs = bucketOf(when_[id]);
-                    if (abs < min_abs)
-                        min_abs = abs;
-                    w &= w - 1;
-                }
-            }
-            cursor_ = min_abs;
-            migrateOverflow();
-        } else if (step > 0) {
-            cursor_ += step;
-            if (overflowFloor_ < cursor_ + kBuckets)
-                migrateOverflow();
-        }
-
-        // The first non-empty bucket holds the global minimum: ring
-        // buckets partition time in cursor order and every overflow
-        // entry lies at or beyond cursor + kBuckets.
-        const std::uint64_t *bucket =
-            &ring_[(cursor_ & (kBuckets - 1)) * words_];
-        Tick best_t = kNever;
-        std::uint32_t best_id = 0;
-        for (std::size_t wi = 0; wi < words_; ++wi) {
-            std::uint64_t w = bucket[wi];
-            while (w != 0) {
-                const std::uint32_t id = static_cast<std::uint32_t>(
-                    (wi << 6) + std::countr_zero(w));
-                if (when_[id] < best_t) {
-                    best_t = when_[id];
-                    best_id = id;
-                }
-                w &= w - 1;
-            }
-        }
-        removeBit(best_id);
-        when_[best_id] = kNever;
-        --count_;
-        t_out = best_t;
-        id_out = best_id;
+        id_out = static_cast<std::uint32_t>(key & ((1ULL << idBits_) - 1));
+        t_out = static_cast<Tick>(key >> idBits_);
+        replay(id_out, kEmpty);
         return true;
     }
 
   private:
-    static constexpr Tick kNever = std::numeric_limits<Tick>::max();
-    static constexpr std::uint64_t kNoFloor =
+    /** Key of an unscheduled leaf; sorts after every packed key. */
+    static constexpr std::uint64_t kEmpty =
         std::numeric_limits<std::uint64_t>::max();
-    /** log2 of the bucket width in ticks (1024 ticks ~ 1 ns). */
-    static constexpr unsigned kLogWidth = 10;
-    /** Ring size in buckets (power of two; horizon ~262 ns). */
-    static constexpr std::size_t kBuckets = 256;
 
-    static std::uint64_t
-    bucketOf(Tick t)
-    {
-        return static_cast<std::uint64_t>(t) >> kLogWidth;
-    }
-
-    bool
-    bucketAny(std::uint64_t abs) const
-    {
-        const std::uint64_t *bucket =
-            &ring_[(abs & (kBuckets - 1)) * words_];
-        for (std::size_t wi = 0; wi < words_; ++wi)
-            if (bucket[wi] != 0)
-                return true;
-        return false;
-    }
-
+    /** Set @p id's leaf to @p key and recompute its path's winners. */
     void
-    placeBit(std::uint32_t id, std::uint64_t abs)
+    replay(std::uint32_t id, std::uint64_t key)
     {
-        const std::uint64_t bit = 1ULL << (id & 63);
-        if (abs - cursor_ >= kBuckets) {
-            overflow_[id >> 6] |= bit;
-            posAbs_[id] = kNoFloor;
-            if (abs < overflowFloor_)
-                overflowFloor_ = abs;
-        } else {
-            ring_[(abs & (kBuckets - 1)) * words_ + (id >> 6)] |= bit;
-            posAbs_[id] = abs;
+        std::size_t node = leaves_ + id;
+        tree_[node] = key;
+        for (; node > 1; node >>= 1) {
+            key = std::min(key, tree_[node ^ 1]);
+            tree_[node >> 1] = key;
         }
     }
 
-    void
-    removeBit(std::uint32_t id)
-    {
-        const std::uint64_t bit = 1ULL << (id & 63);
-        const std::uint64_t abs = posAbs_[id];
-        if (abs == kNoFloor)
-            overflow_[id >> 6] &= ~bit;
-        else
-            ring_[(abs & (kBuckets - 1)) * words_ + (id >> 6)] &= ~bit;
-    }
-
-    /** Pull overflow entries inside the new horizon into the ring. */
-    void
-    migrateOverflow()
-    {
-        std::uint64_t floor = kNoFloor;
-        for (std::size_t wi = 0; wi < words_; ++wi) {
-            std::uint64_t w = overflow_[wi];
-            while (w != 0) {
-                const std::uint32_t id = static_cast<std::uint32_t>(
-                    (wi << 6) + std::countr_zero(w));
-                w &= w - 1;
-                const std::uint64_t abs = bucketOf(when_[id]);
-                if (abs - cursor_ < kBuckets) {
-                    overflow_[wi] &= ~(1ULL << (id & 63));
-                    placeBit(id, abs);
-                } else if (abs < floor) {
-                    floor = abs;
-                }
-            }
-        }
-        overflowFloor_ = floor;
-    }
-
-    std::size_t words_ = 0;
-    /** kBuckets bitmask rows, flattened (row = abs & (kBuckets-1)). */
-    std::vector<std::uint64_t> ring_;
-    /** Entries at or beyond cursor_ + kBuckets buckets. */
-    std::vector<std::uint64_t> overflow_;
-    /** Scheduled tick per id (kNever = not scheduled). */
-    std::vector<Tick> when_;
-    /** Where each id's bit lives: bucket number or kNoFloor. */
-    std::vector<std::uint64_t> posAbs_;
-    /** Absolute bucket number of the current time position. */
-    std::uint64_t cursor_ = 0;
-    /** Lower bound on the earliest overflow entry's bucket. */
-    std::uint64_t overflowFloor_ = kNoFloor;
-    std::size_t count_ = 0;
+    unsigned idBits_ = 0;
+    std::uint64_t maxTick_ = 0;
+    std::size_t leaves_ = 1;
+    /** Heap-ordered nodes: root at 1, leaves at [leaves_, 2 * leaves_). */
+    std::vector<std::uint64_t> tree_{kEmpty, kEmpty};
 };
 
 } // namespace pcstall::gpu

@@ -68,16 +68,16 @@ GpuChip::runUntil(Tick until)
     panicIf(until < curTick, "runUntil into the past");
     CuContext ctx = makeContext();
 
-    // Flat time-bucketed queue of (nextEventAt, cuId), kept in a
-    // thread_local scratch so the hottest loop of the simulator
-    // performs no heap allocation per epoch: the oracle calls
-    // runUntil once per V/f sample per epoch boundary. The queue pops
-    // in strictly ascending (tick, id) order - the exact order the
-    // previous binary heap produced - and supports in-place
-    // reschedule, so the launch-finished broadcast leaves no stale
-    // entries behind.
-    static thread_local TickBucketQueue queue;
-    queue.reset(static_cast<std::uint32_t>(cus.size()), curTick);
+    // Tournament tree of (nextEventAt, cuId), kept in a thread_local
+    // scratch so the hottest loop of the simulator performs no heap
+    // allocation per epoch: the oracle calls runUntil once per V/f
+    // sample per epoch boundary. Each schedule or pop replays one
+    // leaf-to-root path (log2 of the CU count), pops come out in
+    // strictly ascending (tick, id) order, and a reschedule rewrites
+    // the CU's single leaf, so the launch-finished broadcast leaves
+    // no stale entries behind.
+    static thread_local TournamentQueue queue;
+    queue.reset(static_cast<std::uint32_t>(cus.size()));
     for (std::uint32_t i = 0; i < cus.size(); ++i) {
         if (cus[i].nextEventAt < until)
             queue.schedule(i, cus[i].nextEventAt);

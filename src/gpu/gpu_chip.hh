@@ -93,6 +93,9 @@ class GpuChip
      */
     std::uint64_t stateFingerprint() const;
 
+    /** Index of the kernel launch being dispatched. */
+    std::uint32_t launchIndex() const { return dispatch.curLaunch; }
+
     const GpuConfig &config() const { return cfg; }
     const memory::MemorySystem &memory() const { return mem; }
     const isa::Application &application() const { return *app; }

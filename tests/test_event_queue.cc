@@ -1,17 +1,19 @@
 /**
  * @file
- * TickBucketQueue (the flat time-bucketed event queue behind
- * GpuChip::runUntil) against a reference ordered set: the contract is
- * strictly ascending (tick, id) pop order, one live entry per id,
- * under monotone scheduling. The randomized cross-check drives both
- * structures through the same operation stream, including far-future
- * times that park in the overflow mask and migrate back into the ring
- * as the cursor advances.
+ * TournamentQueue (the winner tree behind GpuChip::runUntil) against a
+ * reference ordered set: the contract is strictly ascending (tick, id)
+ * pop order with one live entry per id, for schedules in any order at
+ * ticks in [0, maxTick()]. The randomized cross-check drives both
+ * structures through the same operation stream, including schedules
+ * earlier than the last pop and ticks at the top of the key encoding.
  */
 
 #include <gtest/gtest.h>
 
+#include "expect_fatal.hh"
+
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -20,7 +22,7 @@
 #include "gpu/event_queue.hh"
 
 using namespace pcstall;
-using gpu::TickBucketQueue;
+using gpu::TournamentQueue;
 
 namespace
 {
@@ -65,60 +67,55 @@ class ReferenceQueue
     std::vector<Tick> when_;
 };
 
+/** Pop every entry of @p q as (tick, id) pairs, in pop order. */
+std::vector<std::pair<Tick, std::uint32_t>>
+drain(TournamentQueue &q)
+{
+    std::vector<std::pair<Tick, std::uint32_t>> out;
+    Tick t = 0;
+    std::uint32_t id = 0;
+    while (q.popMin(t, id))
+        out.emplace_back(t, id);
+    return out;
+}
+
+using Pops = std::vector<std::pair<Tick, std::uint32_t>>;
+
 } // namespace
 
-TEST(TickBucketQueue, PopsInAscendingTickIdOrder)
+TEST(TournamentQueue, PopsInAscendingTickIdOrder)
 {
-    TickBucketQueue q;
-    q.reset(8, 0);
+    TournamentQueue q;
+    q.reset(8);
     // Same tick for several ids: pop order must break ties by id.
     q.schedule(5, 100);
     q.schedule(1, 100);
     q.schedule(3, 100);
     q.schedule(0, 50);
     q.schedule(7, 2000);
-
-    Tick t = 0;
-    std::uint32_t id = 0;
-    ASSERT_TRUE(q.popMin(t, id));
-    EXPECT_EQ(t, 50);
-    EXPECT_EQ(id, 0u);
-    ASSERT_TRUE(q.popMin(t, id));
-    EXPECT_EQ(t, 100);
-    EXPECT_EQ(id, 1u);
-    ASSERT_TRUE(q.popMin(t, id));
-    EXPECT_EQ(t, 100);
-    EXPECT_EQ(id, 3u);
-    ASSERT_TRUE(q.popMin(t, id));
-    EXPECT_EQ(t, 100);
-    EXPECT_EQ(id, 5u);
-    ASSERT_TRUE(q.popMin(t, id));
-    EXPECT_EQ(t, 2000);
-    EXPECT_EQ(id, 7u);
-    EXPECT_FALSE(q.popMin(t, id));
+    EXPECT_EQ(drain(q),
+              (Pops{{50, 0}, {100, 1}, {100, 3}, {100, 5}, {2000, 7}}));
     EXPECT_TRUE(q.empty());
 }
 
-TEST(TickBucketQueue, RescheduleMovesAnEntry)
+TEST(TournamentQueue, RescheduleMovesAnEntry)
 {
-    TickBucketQueue q;
-    q.reset(4, 0);
+    TournamentQueue q;
+    q.reset(4);
     q.schedule(2, 1000);
     q.schedule(2, 10); // overrides, does not duplicate
-    Tick t = 0;
-    std::uint32_t id = 0;
-    ASSERT_TRUE(q.popMin(t, id));
-    EXPECT_EQ(t, 10);
-    EXPECT_EQ(id, 2u);
-    EXPECT_FALSE(q.popMin(t, id));
+    q.schedule(1, 20);
+    q.schedule(1, 5000); // later is fine too
+    EXPECT_EQ(drain(q), (Pops{{10, 2}, {5000, 1}}));
 }
 
-TEST(TickBucketQueue, FarFutureEntriesSurviveOverflowMigration)
+TEST(TournamentQueue, FarFutureAndNearEntriesInterleave)
 {
-    TickBucketQueue q;
-    q.reset(3, 0);
-    // The ring horizon is a few hundred ns of ticks; park entries far
-    // beyond it, plus one near entry, and check order end to end.
+    TournamentQueue q;
+    q.reset(3);
+    // Entries seconds apart share the tree with near ones; scheduling
+    // near work after a far pop (the launch-finished broadcast's
+    // pattern, reversed) must still order correctly.
     const Tick far_a = 50'000'000;
     const Tick far_b = 900'000'000;
     q.schedule(0, far_b);
@@ -133,65 +130,110 @@ TEST(TickBucketQueue, FarFutureEntriesSurviveOverflowMigration)
     ASSERT_TRUE(q.popMin(t, id));
     EXPECT_EQ(t, far_a);
     EXPECT_EQ(id, 2u);
-    ASSERT_TRUE(q.popMin(t, id));
-    EXPECT_EQ(t, far_b);
-    EXPECT_EQ(id, 0u);
-    EXPECT_FALSE(q.popMin(t, id));
+    q.schedule(1, 6);
+    q.schedule(2, far_a + 1);
+    EXPECT_EQ(drain(q), (Pops{{6, 1}, {far_a + 1, 2}, {far_b, 0}}));
 }
 
-TEST(TickBucketQueue, ResetReusesBuffersAndDropsEntries)
+TEST(TournamentQueue, ResetReusesBuffersAndDropsEntries)
 {
-    TickBucketQueue q;
-    q.reset(4, 0);
+    TournamentQueue q;
+    EXPECT_TRUE(q.empty());
+    q.reset(4);
     q.schedule(0, 7);
     q.schedule(3, 9);
-    q.reset(4, 100'000);
+    q.reset(4);
     EXPECT_TRUE(q.empty());
     Tick t = 0;
     std::uint32_t id = 0;
     EXPECT_FALSE(q.popMin(t, id));
-    // A queue reset to a late start still orders fresh entries.
     q.schedule(1, 100'500);
     q.schedule(0, 100'400);
     ASSERT_TRUE(q.popMin(t, id));
     EXPECT_EQ(t, 100'400);
     EXPECT_EQ(id, 0u);
+    // A reset to a different id count re-sizes the tree.
+    q.reset(1);
+    EXPECT_TRUE(q.empty());
+    q.schedule(0, 3);
+    EXPECT_EQ(drain(q), (Pops{{3, 0}}));
 }
 
-TEST(TickBucketQueue, RandomizedCrossCheckAgainstOrderedSet)
+TEST(TournamentQueue, AcceptsTheLargestEncodableTick)
 {
-    // Monotone operation stream: every schedule is at or after the
-    // most recently popped tick, mirroring the event-loop guarantee.
-    // Deltas mix short hops (same/near bucket), mid-range, and jumps
-    // far beyond the ring horizon (overflow path).
+    TournamentQueue q;
+    // 64 ids need 6 id bits, leaving 58 for the tick; the all-ones
+    // key is reserved for empty leaves.
+    q.reset(64);
+    const Tick top = (Tick{1} << 58) - 2;
+    EXPECT_EQ(q.maxTick(), top);
+    q.schedule(63, top);
+    q.schedule(0, top);
+    q.schedule(17, top - 1);
+    q.schedule(5, 0);
+    EXPECT_EQ(drain(q),
+              (Pops{{0, 5}, {top - 1, 17}, {top, 0}, {top, 63}}));
+
+    // 70 ids need 7 bits; a single id needs none, so every
+    // non-negative Tick is representable.
+    q.reset(70);
+    EXPECT_EQ(q.maxTick(), (Tick{1} << 57) - 2);
+    q.reset(1);
+    EXPECT_EQ(q.maxTick(), std::numeric_limits<Tick>::max());
+    q.schedule(0, q.maxTick());
+    EXPECT_EQ(drain(q), (Pops{{q.maxTick(), 0}}));
+}
+
+TEST(TournamentQueue, RejectsTicksOutsideTheKeyEncoding)
+{
+    TournamentQueue q;
+    q.reset(64);
+    q.schedule(4, 10);
+    EXPECT_FATAL(q.schedule(1, q.maxTick() + 1), "outside");
+    EXPECT_FATAL(q.schedule(1, -1), "outside");
+    EXPECT_FATAL(q.schedule(2, std::numeric_limits<Tick>::max()),
+                 "outside");
+    // A rejected schedule leaves the queue untouched.
+    EXPECT_EQ(drain(q), (Pops{{10, 4}}));
+}
+
+TEST(TournamentQueue, RandomizedCrossCheckAgainstOrderedSet)
+{
+    // Deltas mix short hops around the last pop (including ties and
+    // schedules before it), mid-range and far jumps, and ticks at the
+    // top of the encoding.
     Rng rng(0xE0E0'51A7ULL);
-    const std::uint32_t num_ids = 70; // > one mask word
-    TickBucketQueue q;
+    const std::uint32_t num_ids = 70; // > one word, not a power of two
+    TournamentQueue q;
     ReferenceQueue ref;
 
     for (int round = 0; round < 20; ++round) {
-        const Tick start =
-            static_cast<Tick>(rng.below(1'000'000'000ULL));
-        q.reset(num_ids, start);
+        q.reset(num_ids);
         ref.reset(num_ids);
-        Tick last_pop = start;
+        Tick last_pop = static_cast<Tick>(rng.below(1'000'000'000ULL));
 
         for (int op = 0; op < 4000; ++op) {
             const std::uint64_t roll = rng.below(100);
             if (roll < 55 || ref.empty()) {
                 const std::uint32_t id =
                     static_cast<std::uint32_t>(rng.below(num_ids));
-                Tick delta = 0;
                 const std::uint64_t kind = rng.below(100);
-                if (kind < 50)
-                    delta = static_cast<Tick>(rng.below(2'000));
+                Tick t = 0;
+                if (kind < 45)
+                    t = last_pop + static_cast<Tick>(rng.below(2'000));
+                else if (kind < 55)
+                    t = last_pop - static_cast<Tick>(rng.below(
+                                       static_cast<std::uint64_t>(
+                                           last_pop) + 1));
                 else if (kind < 85)
-                    delta = static_cast<Tick>(rng.below(200'000));
+                    t = last_pop + static_cast<Tick>(rng.below(200'000));
+                else if (kind < 97)
+                    t = last_pop + static_cast<Tick>(
+                                       rng.below(2'000'000'000ULL));
                 else
-                    delta = static_cast<Tick>(
-                        rng.below(2'000'000'000ULL));
-                q.schedule(id, last_pop + delta);
-                ref.schedule(id, last_pop + delta);
+                    t = q.maxTick() - static_cast<Tick>(rng.below(3));
+                q.schedule(id, t);
+                ref.schedule(id, t);
             } else {
                 Tick qt = 0, rt = 0;
                 std::uint32_t qid = 0, rid = 0;
@@ -199,13 +241,14 @@ TEST(TickBucketQueue, RandomizedCrossCheckAgainstOrderedSet)
                 const bool rok = ref.popMin(rt, rid);
                 ASSERT_EQ(qok, rok) << "round " << round << " op "
                                     << op;
-                if (!qok)
-                    continue;
                 ASSERT_EQ(qt, rt) << "round " << round << " op " << op;
                 ASSERT_EQ(qid, rid)
                     << "round " << round << " op " << op;
-                last_pop = qt;
+                // Keep the stream near real ticks after a far pop.
+                if (qt < q.maxTick() - 2)
+                    last_pop = qt;
             }
+            ASSERT_EQ(q.empty(), ref.empty());
         }
 
         // Drain both queues completely; order must match to the end.

@@ -5,9 +5,14 @@
 #include "expect_fatal.hh"
 
 #include <memory>
+#include <vector>
 
+#include "common/rng.hh"
 #include "gpu/gpu_chip.hh"
 #include "isa/kernel_builder.hh"
+#include "power/vf_table.hh"
+#include "sim/experiment.hh"
+#include "workloads/workloads.hh"
 
 using namespace pcstall;
 using namespace pcstall::gpu;
@@ -464,6 +469,168 @@ TEST(GpuChip, SnapshotsIncludeLaunchCodeBase)
         if (s.pcAddr >= beta_base)
             saw_beta = true;
     EXPECT_TRUE(saw_beta);
+}
+
+namespace
+{
+
+/** Order-sensitive digest of every field of an epoch record. */
+std::uint64_t
+recordDigest(const EpochRecord &r)
+{
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    auto mix = [&h](std::uint64_t v) { h = hashCombine(h, v); };
+    auto tick = [&mix](Tick t) { mix(static_cast<std::uint64_t>(t)); };
+    tick(r.start);
+    tick(r.end);
+    for (const CuEpochRecord &c : r.cus) {
+        mix(c.committed);
+        mix(c.vmemLoads);
+        mix(c.vmemStores);
+        tick(c.busy);
+        tick(c.loadStall);
+        tick(c.storeStall);
+        tick(c.leadLoad);
+        tick(c.memInterval);
+        tick(c.overlap);
+        mix(c.mem.l1Hits);
+        mix(c.mem.l1Misses);
+        mix(c.mem.l2Hits);
+        mix(c.mem.l2Misses);
+        mix(c.mem.stores);
+        mix(c.mem.storesCombined);
+        mix(static_cast<std::uint64_t>(c.freq));
+    }
+    for (const WaveEpochRecord &w : r.waves) {
+        mix(w.cu);
+        mix(w.slot);
+        mix(w.startPc);
+        mix(w.startPcAddr);
+        mix(w.committed);
+        tick(w.memStall);
+        tick(w.barrierStall);
+        mix(w.ageRank);
+        mix(w.active ? 1 : 0);
+    }
+    return h;
+}
+
+/** Per-epoch golden digests of one 64-CU run. */
+struct GoldenRun
+{
+    const char *workload;
+    std::vector<std::uint64_t> fingerprints;
+    std::vector<std::uint64_t> records;
+};
+
+/**
+ * Run @p golden's workload on the paper's 64-CU chip (scale 0.25,
+ * seed 42) in 1 us epochs, giving every CU a different V/f state each
+ * epoch from a fixed pattern so the CUs fall out of lockstep and tie
+ * at shared ticks, and compare each epoch's state fingerprint and
+ * record digest against @p golden. Returns the launch being
+ * dispatched at the end.
+ */
+std::uint32_t
+checkGoldenRun(const GoldenRun &golden)
+{
+    workloads::WorkloadParams params;
+    params.numCus = 64;
+    params.scale = 0.25;
+    params.seed = 42;
+    auto app = std::make_shared<const isa::Application>(
+        workloads::makeWorkload(golden.workload, params));
+    GpuConfig cfg;
+    power::PowerParams power;
+    sim::scaleToCus(cfg, power, 64);
+    GpuChip chip(cfg, app);
+
+    const power::VfTable table = power::VfTable::paperTable();
+    const Tick latency = transitionLatencyFor(tickUs);
+    std::vector<std::uint64_t> fps, records;
+    EpochRecord record;
+    for (std::size_t e = 0; e < golden.fingerprints.size(); ++e) {
+        for (std::uint32_t cu = 0; cu < cfg.numCus; ++cu) {
+            const std::size_t s = (cu * 5 + e * 3) % table.numStates();
+            chip.setCuFrequency(cu, table.state(s).freq, latency);
+        }
+        const Tick start = chip.now();
+        chip.runUntil(start + tickUs);
+        chip.harvestEpoch(start, record);
+        fps.push_back(chip.stateFingerprint());
+        records.push_back(recordDigest(record));
+    }
+    EXPECT_EQ(fps, golden.fingerprints) << golden.workload;
+    EXPECT_EQ(records, golden.records) << golden.workload;
+    return chip.launchIndex();
+}
+
+} // namespace
+
+TEST(GpuChip, EventOrderIsPinnedAt64Cus)
+{
+    // Constants recorded with the bucketed event queue that preceded
+    // the tournament tree; any change to the (tick, id) pop order, the
+    // launch-finished broadcast or the CU step shows up here. Each
+    // run crosses at least one kernel-launch boundary.
+    const GoldenRun comd{"comd",
+        {
+          0xebca0adf34d8e029ULL, 0x13e3cff4daea0321ULL, 0xf9bf58d513767120ULL,
+          0x629bb211fac0bd97ULL, 0xbaa90b8954f28829ULL, 0x67870682d91b99fcULL,
+          0x5ddceead9926407eULL, 0xb6e62bed8345c14eULL, 0x266adde5b272d597ULL,
+          0xf4b10255b13d06ccULL, 0x0be7fe3facb70808ULL, 0x275849543295f065ULL,
+          0x81629525dc48eb0bULL, 0xde41e0dc02d0aaaaULL, 0xd492bb8e95d78cadULL,
+          0xc477a877042a7c48ULL, 0xafa55aafbf418937ULL, 0xb78684030e72a3d5ULL,
+          0xee67398f0d7dd590ULL, 0x2e94aabc0f679a23ULL, 0x62b9179d912a0c44ULL,
+          0x248224ffc0eecdc7ULL, 0x65213e28d5d6ebebULL, 0x85130325c05b566dULL,
+          0xa0efbb96c3e9682eULL, 0x7f64629b086da3c1ULL, 0xb2ffc200a82f2106ULL,
+          0x08ed76edc3638c1dULL, 0x455c1616a8f29542ULL, 0xc8e58cc4efb1b8d0ULL,
+          0x58c435993debbe79ULL, 0x71f63e0cde01dc9dULL, 0x58ac01e6e726d454ULL,
+          0x46fbaa14360b9243ULL, 0x9ef3b78152cb7c3fULL, 0x44637f0be74e9b24ULL,
+          0xe74e88d43e692686ULL, 0x0f666c3453f0fc07ULL, 0x289eb79e9bb59de3ULL,
+          0x3c776eba8cf48a1bULL, 0x2f1e541db8a9c894ULL, 0x069db674b1706617ULL,
+          0xb6f89d5bb5a8f952ULL, 0x27be1deaa66e2115ULL, 0x9f9b5b054362d8b1ULL,
+          0x24d42299b8d971a0ULL, 0xf84c78e239251e11ULL, 0x1729b5d82465da64ULL,
+          0x1a13c352f885ac77ULL, 0x5b5926b8405d5b86ULL, 0x76db9715cd3b560fULL,
+          0x7fc208a8c5ad6742ULL},
+        {
+          0xbbc65edd917b4051ULL, 0x54e74b2cb55deb18ULL, 0x2a6712e67a521ab2ULL,
+          0x3c63023a35f58751ULL, 0x9a678e4e62dcdca2ULL, 0x9116ddd9ea0cdb80ULL,
+          0x5aca95b093180ee4ULL, 0xd70add2c7a7d6f7eULL, 0x56dd7d9716395749ULL,
+          0x2029a278d37b1da2ULL, 0xce2a42fdba0d5846ULL, 0x16f4469e4eda3356ULL,
+          0x5a70f218cb0a5d59ULL, 0xd3674eeeec54692cULL, 0xaf6d2b45c3f1a5adULL,
+          0x74d31cb2c6e3c7ccULL, 0x0d89b581483f3045ULL, 0x363f85eabdc6261cULL,
+          0x47bfec96eff45a71ULL, 0x9287ea88a198825bULL, 0xf4021ab61108eb51ULL,
+          0x2b9976ad306ed3bdULL, 0x38ada357d63ecd83ULL, 0xf6f840040aa25490ULL,
+          0x698459d787a33160ULL, 0x4048fe585063e6d5ULL, 0x4a85eaefbf2b0361ULL,
+          0xb0a51fb16aa24ecdULL, 0xcf303f89242ab150ULL, 0x3d749bc45afec291ULL,
+          0x99832e688f0f1b95ULL, 0x586423020c3cba24ULL, 0xc5e262a768d3f66aULL,
+          0xcb892037dea36706ULL, 0x10ab27a02b6488eeULL, 0x2dc314c82eba935aULL,
+          0x855d4d7695559376ULL, 0x04449f03c9491cc4ULL, 0x3d6d51167ea359e1ULL,
+          0x6d4ff4c3f41c8d0eULL, 0xce5cefd3959d9921ULL, 0x7e6f5d2f85f3519fULL,
+          0xf2edbe8e585d4bdbULL, 0x05eedaaf66f0475dULL, 0xa57882f43c947357ULL,
+          0x4643a7883c56205eULL, 0x197ae719c9a8906cULL, 0xfebc880663b6d6c9ULL,
+          0xaf05a658d52f8476ULL, 0x5343bca9c76ee6b6ULL, 0x64c77866beb32cbcULL,
+          0x0ffa42e07da8aa89ULL}};
+    const GoldenRun xsbench{"xsbench",
+        {
+          0xc73e50cc2fa8da08ULL, 0x7778ade84a7ad989ULL, 0x695c8f348d2c54b6ULL,
+          0x4867996dc26723c9ULL, 0xb455e6eb78ac9622ULL, 0x34b8e2536f12bf22ULL,
+          0x1a2a0445f68651d9ULL, 0x18930ca6c91c427dULL, 0x4761592356eefc1aULL,
+          0x5d75275909e8b724ULL, 0x3d345f90c6bc5843ULL, 0x0ab913960c572aa6ULL,
+          0xe4c89f4e1859aef8ULL, 0xf4217205bfbad88cULL, 0x4a84bcbc7ff89b45ULL,
+          0xd7fa62d54c45ab06ULL, 0x2a8d5317ff2ecf2fULL, 0x85d65eadee6bdd58ULL,
+          0x05c7f2cd5a3574e6ULL, 0x2b18b6056d11e074ULL},
+        {
+          0x9ffd6076e4173db8ULL, 0xba1df24fb5002179ULL, 0x05ee75030097e356ULL,
+          0xca2481fe427d6a0dULL, 0xd8e68f1669c5224aULL, 0x0f86ed695a17ebebULL,
+          0xab05dbad765b46e5ULL, 0xfc0671b19c1aa416ULL, 0x3599c2dcdc291117ULL,
+          0xd7723d3ec766c1d9ULL, 0x32211fa8b6462083ULL, 0xd97198976a8baf4bULL,
+          0x1927cf287dd5e7c1ULL, 0x91ea43fd4e4d2b86ULL, 0xe3e2a1af3454e67cULL,
+          0x907346f43e7b6aecULL, 0xf11703997c2b83daULL, 0xfc7ad2560d480accULL,
+          0xf9f352fb66c8d1a4ULL, 0xa6faca6cf4d6778eULL}};
+    EXPECT_GE(checkGoldenRun(comd), 1u);
+    EXPECT_GE(checkGoldenRun(xsbench), 1u);
 }
 
 using GpuDeath = ::testing::Test;
