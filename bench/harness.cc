@@ -315,7 +315,15 @@ BenchOptions::parse(int argc, char **argv)
     opts.replayTrace = cli.get("replay", "");
     opts.pcSnapshotOut = cli.get("pc-snapshot-out", "");
     opts.pcSnapshotIn = cli.get("pc-snapshot-in", "");
-    opts.provenanceOut = cli.get("provenance-out", "");
+    // Retired flags: CliOptions accepts unknown names silently, so
+    // say what replaced them instead of letting them do nothing.
+    if (cli.has("provenance-out")) {
+        cli.noteError("--provenance-out: flag removed; capture with "
+                      "--trace-out, inspect with `trace_inspect "
+                      "explain`");
+    }
+    if (cli.has("oracle-mode"))
+        cli.noteError("--oracle-mode: one snapshot mode, flag removed");
     opts.traceCacheDir = cli.get("trace-cache", "");
     opts.traceWhatIf = cli.has("trace-what-if");
     if (opts.traceWhatIf && opts.traceCacheDir.empty()) {
@@ -475,7 +483,7 @@ BenchOptions::runConfig() const
     cfg.objective = objective;
     cfg.perfDegradationLimit = perfDegradationLimit;
     cfg.collectTrace = collectTrace;
-    cfg.auditRegret = auditRegret || !provenanceOut.empty();
+    cfg.auditRegret = auditRegret;
     cfg.oracleThreads = oracleThreads;
     cfg.scaled();
     return cfg;
@@ -809,8 +817,7 @@ runFromLibrary(sim::ExperimentDriver &driver,
                dvfs::DvfsController *&ctrl,
                core::PcstallController *&pcstall,
                const BenchOptions &opts, const std::string &workload,
-               TraceCacheContext &cache, obs::ProvenanceLog *prov,
-               sim::RunResult &result)
+               TraceCacheContext &cache, sim::RunResult &result)
 {
     trace::TraceLibrary &lib = *cache.library;
     const trace::LibraryKey &key = cache.key;
@@ -837,8 +844,7 @@ runFromLibrary(sim::ExperimentDriver &driver,
             // owner's stream - divergent decisions are the point.
             ropts.verifyDecisions = !key.shared &&
                 ctrl->name() == data->meta.controller;
-            ropts.auditRegret = opts.auditRegret || prov != nullptr;
-            ropts.provenance = prov;
+            ropts.auditRegret = opts.auditRegret;
             ropts.liveMetricProfile = true;
             trace::ReplayOutcome outcome = replayer.run(*ctrl, ropts);
             if (outcome.ok() && outcome.decisionMismatches == 0) {
@@ -862,8 +868,7 @@ runFromLibrary(sim::ExperimentDriver &driver,
                 // Stale entry (decision drift, or an upfront replay
                 // failure): quarantine and recapture. The replay may
                 // have half-driven the controller, so rebuild it cold
-                // - and restart its provenance log - before the live
-                // run.
+                // before the live run.
                 evictLibraryTrace(got.tracePath);
                 lib.quarantine(
                     key,
@@ -877,8 +882,6 @@ runFromLibrary(sim::ExperimentDriver &driver,
                 ctrl = cache.rebuilt.get();
                 pcstall = pcstallBehind(*ctrl);
                 restorePcSnapshotIn(opts, pcstall);
-                if (prov != nullptr)
-                    *prov = obs::ProvenanceLog{};
             }
         }
     }
@@ -935,7 +938,7 @@ resolveTraceCache(sim::ExperimentDriver &driver,
                   dvfs::DvfsController *&controller,
                   const BenchOptions &opts,
                   const std::string &workload, TraceCacheContext &cache,
-                  obs::ProvenanceLog *prov, sim::RunResult &result)
+                  sim::RunResult &result)
 {
     if (cache.library == nullptr || !cache.library->ok() ||
         !cache.freshController) {
@@ -943,7 +946,7 @@ resolveTraceCache(sim::ExperimentDriver &driver,
     }
     core::PcstallController *pcstall = pcstallBehind(*controller);
     return runFromLibrary(driver, app, controller, pcstall, opts,
-                          workload, cache, prov, result);
+                          workload, cache, result);
 }
 
 void
@@ -991,10 +994,6 @@ runTraced(sim::ExperimentDriver &driver,
     // through the trace library, or plain.
     sim::RunResult result;
     bool ran = false;
-    obs::ProvenanceLog prov_log;
-    obs::ProvenanceLog *prov =
-        opts.provenanceOut.empty() ? nullptr : &prov_log;
-    driver.setProvenance(prov);
     if (!opts.replayTrace.empty()) {
         // Symmetric with capture: repeat N replays the -rN capture.
         // The decode is pinned like a what-if entry: several cells may
@@ -1017,7 +1016,6 @@ runTraced(sim::ExperimentDriver &driver,
             ropts.verifyDecisions =
                 ctrl->name() == data->meta.controller;
             ropts.auditRegret = opts.auditRegret;
-            ropts.provenance = prov;
             trace::ReplayOutcome outcome = replayer.run(*ctrl, ropts);
             if (outcome.ok()) {
                 if (ropts.verifyDecisions &&
@@ -1063,21 +1061,10 @@ runTraced(sim::ExperimentDriver &driver,
     if (!ran && cache != nullptr && cache->library != nullptr &&
         cache->library->ok() && cache->freshController) {
         ran = runFromLibrary(driver, app, ctrl, pcstall, opts,
-                             workload, *cache, prov, result);
+                             workload, *cache, result);
     }
     if (!ran)
         result = runWithObservers(driver, app, *ctrl, nullptr);
-    driver.setProvenance(nullptr);
-
-    if (prov != nullptr) {
-        const std::string prov_path = claimOutputPath(expandRunPath(
-            opts.provenanceOut, workload, ctrl->name(),
-            run_index));
-        const std::string perr = store::writeFileAtomic(
-            prov_path, obs::encodeProvenance(*prov));
-        if (!perr.empty())
-            warn("--provenance-out: " + perr);
-    }
 
     if (pcstall != nullptr && obs::metricsEnabled())
         publishPcTableMetrics(*pcstall);

@@ -108,17 +108,11 @@ struct BenchOptions
      *  (--pc-snapshot-out; same placeholder rules as traceOut). */
     std::string pcSnapshotOut;
     /**
-     * Write every run routed through runTraced() as a PCPV decision-
-     * provenance sidecar (--provenance-out; same placeholder and
-     * collision rules as traceOut). Works for live, captured and
-     * replayed runs alike; see docs/provenance.md.
-     */
-    std::string provenanceOut;
-    /**
      * Score per-decision hindsight regret into RunResult::regret
      * without retaining records (harness-set, no flag; the tournament
-     * turns it on for its regret leaderboard columns). Implied for
-     * runs that write --provenance-out.
+     * turns it on for its regret leaderboard columns). The records
+     * themselves are re-derived from a --trace-out capture with
+     * `trace_inspect explain` (docs/provenance.md).
      */
     bool auditRegret = false;
     /**
@@ -206,13 +200,14 @@ struct BenchOptions
      *  the performance flag --oracle-threads,
      *  the trace flags --trace-out --replay --pc-snapshot-out
      *  --pc-snapshot-in --trace-cache --trace-what-if
-     *  (docs/replay_studies.md), the provenance flag --provenance-out, the
+     *  (docs/replay_studies.md), the
      *  progress flag --progress, the farm flags --store --resume --shard i/N
      *  --cell-timeout --cell-retries (docs/sweep_farm.md), and the
      *  observability flags --metrics-out --timeline-out --csv-out
      *  --verbose --log-level (also env PCSTALL_LOG). Malformed
-     *  options and unknown workloads are warned about and dropped,
-     *  never fatal. Calls configureObservability(). */
+     *  options, retired flags and unknown workloads are warned about
+     *  and dropped, never fatal.
+     *  Calls configureObservability(). */
     static BenchOptions parse(int argc, char **argv);
 
     workloads::WorkloadParams workloadParams() const;
@@ -397,7 +392,7 @@ sim::RunResult runTraced(sim::ExperimentDriver &driver,
  * @p controller to cache.rebuilt), and the run recaptured live; a
  * plain miss runs live, capturing into the library when
  * cache.captureOnMiss. Returns true when @p result was produced;
- * false tells the caller to run live itself. @p prov may be null.
+ * false tells the caller to run live itself.
  */
 bool resolveTraceCache(sim::ExperimentDriver &driver,
                        std::shared_ptr<const isa::Application> app,
@@ -405,7 +400,6 @@ bool resolveTraceCache(sim::ExperimentDriver &driver,
                        const BenchOptions &opts,
                        const std::string &workload,
                        TraceCacheContext &cache,
-                       obs::ProvenanceLog *prov,
                        sim::RunResult &result);
 
 /** Print @p table as text or CSV per @p opts. */

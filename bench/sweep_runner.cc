@@ -123,8 +123,7 @@ storeBypassed(const SweepCell &cell)
 {
     return cell.inspect != nullptr || !cell.opts.traceOut.empty() ||
            !cell.opts.pcSnapshotOut.empty() ||
-           !cell.opts.replayTrace.empty() ||
-           !cell.opts.provenanceOut.empty();
+           !cell.opts.replayTrace.empty();
 }
 
 /**
@@ -132,7 +131,7 @@ storeBypassed(const SweepCell &cell)
  * trace I/O flags own the trace lifecycle themselves. Everything else
  * is replay-eligible - a cached replay drives the real controller
  * through the real epochs, so inspect callbacks, PC-snapshot exports
- * and provenance sidecars all come out byte-identical to a live run
+ * and regret rollups all come out byte-identical to a live run
  * (docs/replay_studies.md).
  */
 bool
@@ -407,7 +406,7 @@ SweepRunner::computeBaseline(const std::string &workload,
                     dvfs::DvfsController *ctrl = &nominal;
                     produced = resolveTraceCache(driver, app, ctrl,
                                                  opts, workload, cctx,
-                                                 nullptr, out.result);
+                                                 out.result);
                 }
                 if (!produced)
                     out.result = driver.run(app, nominal);

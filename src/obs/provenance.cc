@@ -1,32 +1,17 @@
 #include "obs/provenance.hh"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
-#include <fstream>
-#include <sstream>
+#include <cstdio>
 
-#include "trace/wire.hh"
+#include "obs/timeline.hh"
 
 namespace pcstall::obs
 {
 
-using trace::Cursor;
-using trace::fnv1a;
-using trace::fnvSeed;
-using trace::putBool;
-using trace::putDouble;
-using trace::putFixed64;
-using trace::putString;
-using trace::putVarint;
-using trace::putZigzag;
-
 namespace
 {
-
-// Section tags of the PCPV container.
-constexpr std::uint8_t tagMeta = 1;
-constexpr std::uint8_t tagRecord = 2;
-constexpr std::uint8_t tagEnd = 0xFF;
 
 /** Reference-sum clamp for the relative regret forms. */
 constexpr double relFloor = 1e-12;
@@ -169,320 +154,95 @@ RegretSummary::percentile(double p) const
     return oracleMax;
 }
 
-namespace
-{
-
 std::string
-encodeMeta(const ProvenanceMeta &meta)
+provenanceJson(const ProvenanceLog &log)
 {
-    std::string out;
-    putString(out, meta.workload);
-    putString(out, meta.controller);
-    putString(out, meta.objective);
-    putZigzag(out, meta.epochLen);
-    putVarint(out, meta.numDomains);
-    putVarint(out, meta.numStates);
-    putVarint(out, meta.nominalState);
-    putVarint(out, meta.stateFreqMhz.size());
-    for (const std::uint32_t mhz : meta.stateFreqMhz)
-        putVarint(out, mhz);
-    return out;
-}
-
-bool
-decodeMeta(Cursor &cur, ProvenanceMeta &meta)
-{
-    meta.workload = cur.getString();
-    meta.controller = cur.getString();
-    meta.objective = cur.getString();
-    meta.epochLen = cur.zigzag();
-    meta.numDomains = static_cast<std::uint32_t>(cur.varint());
-    meta.numStates = static_cast<std::uint32_t>(cur.varint());
-    meta.nominalState = static_cast<std::uint32_t>(cur.varint());
-    const std::uint64_t freqs = cur.varint();
-    if (cur.failed() || freqs > cur.remaining() ||
-        freqs != meta.numStates) {
-        return false;
+    const ProvenanceMeta &meta = log.meta;
+    std::string doc = "{\n  \"schema\": \"pcstall-provenance-v1\",\n";
+    doc += "  \"meta\": {\"workload\": " + jsonString(meta.workload) +
+        ", \"controller\": " + jsonString(meta.controller) +
+        ", \"objective\": " + jsonString(meta.objective) +
+        ", \"epoch_len_ticks\": " + std::to_string(meta.epochLen) +
+        ", \"domains\": " + std::to_string(meta.numDomains) +
+        ", \"nominal_state\": " + std::to_string(meta.nominalState) +
+        ", \"state_freq_mhz\": [";
+    for (std::size_t s = 0; s < meta.stateFreqMhz.size(); ++s) {
+        doc += (s != 0 ? ", " : "") +
+            std::to_string(meta.stateFreqMhz[s]);
     }
-    meta.stateFreqMhz.resize(freqs);
-    for (std::uint32_t &mhz : meta.stateFreqMhz)
-        mhz = static_cast<std::uint32_t>(cur.varint());
-    return !cur.failed() && cur.atEnd() && meta.numDomains > 0 &&
-        meta.numStates > 0 && meta.nominalState < meta.numStates;
-}
-
-std::string
-encodeRecord(const DecisionRecord &rec, std::int64_t prev_start)
-{
-    std::string out;
-    putVarint(out, rec.epoch);
-    putZigzag(out, rec.start - prev_start);
-    std::uint8_t flags = 0;
-    if (rec.fallbackActive)
-        flags |= 1;
-    if (rec.realized)
-        flags |= 2;
-    out.push_back(static_cast<char>(flags));
-    for (const DomainDecisionProv &d : rec.domains) {
-        putVarint(out, d.pcKey);
-        putVarint(out, d.lookups);
-        putVarint(out, d.hits);
-        putVarint(out, d.sameRegion);
-        putVarint(out, d.reactive);
-        putDouble(out, d.predictedSens);
-        putDouble(out, d.predictedLevel);
-        putVarint(out, d.elapsedInstr);
-        putVarint(out, d.loadStallTicks);
-        putVarint(out, d.memAccesses);
-        out.push_back(static_cast<char>(d.chosenState));
-        out.push_back(static_cast<char>(d.appliedState));
-        putDouble(out, d.predictedInstr);
+    doc += "]},\n";
+    const RegretSummary &reg = log.regret;
+    doc += "  \"regret\": {\"decisions\": " +
+        std::to_string(reg.count) +
+        ", \"mean_oracle\": " + jsonNumber(reg.meanOracle()) +
+        ", \"p95_oracle\": " + jsonNumber(reg.percentile(0.95)) +
+        ", \"max_oracle\": " + jsonNumber(reg.oracleMax) +
+        ", \"mean_static\": " + jsonNumber(reg.meanStatic()) +
+        "},\n  \"records\": [\n";
+    for (std::size_t i = 0; i < log.records.size(); ++i) {
+        const DecisionRecord &rec = log.records[i];
+        doc += "    {\"epoch\": " + std::to_string(rec.epoch) +
+            ", \"start\": " + std::to_string(rec.start) +
+            ", \"fallback\": " +
+            (rec.fallbackActive ? "true" : "false") +
+            ", \"realized\": " + (rec.realized ? "true" : "false");
         if (rec.realized) {
-            putVarint(out, d.realizedInstr);
-            putDouble(out, d.chosenScore);
-            putDouble(out, d.bestScore);
-            out.push_back(static_cast<char>(d.bestState));
-            putDouble(out, d.nominalScore);
+            doc += ", \"oracle_regret_rel\": " +
+                jsonNumber(rec.oracleRegretRel()) +
+                ", \"static_regret_rel\": " +
+                jsonNumber(rec.staticRegretRel());
         }
-    }
-    if (rec.realized) {
-        for (const double score : rec.stateScores)
-            putDouble(out, score);
-    }
-    return out;
-}
-
-bool
-decodeRecord(Cursor &cur, const ProvenanceMeta &meta,
-             std::int64_t prev_start, DecisionRecord &rec)
-{
-    rec.epoch = cur.varint();
-    rec.start = prev_start + cur.zigzag();
-    const std::uint8_t flags = cur.u8();
-    if (cur.failed() || (flags & ~0x03) != 0)
-        return false;
-    rec.fallbackActive = (flags & 1) != 0;
-    rec.realized = (flags & 2) != 0;
-    rec.domains.resize(meta.numDomains);
-    for (DomainDecisionProv &d : rec.domains) {
-        d.pcKey = cur.varint();
-        d.lookups = static_cast<std::uint32_t>(cur.varint());
-        d.hits = static_cast<std::uint32_t>(cur.varint());
-        d.sameRegion = static_cast<std::uint32_t>(cur.varint());
-        d.reactive = static_cast<std::uint32_t>(cur.varint());
-        d.predictedSens = cur.getDouble();
-        d.predictedLevel = cur.getDouble();
-        d.elapsedInstr = cur.varint();
-        d.loadStallTicks = cur.varint();
-        d.memAccesses = cur.varint();
-        d.chosenState = cur.u8();
-        d.appliedState = cur.u8();
-        d.predictedInstr = cur.getDouble();
-        if (rec.realized) {
-            d.realizedInstr = cur.varint();
-            d.chosenScore = cur.getDouble();
-            d.bestScore = cur.getDouble();
-            d.bestState = cur.u8();
-            d.nominalScore = cur.getDouble();
-        }
-        if (cur.failed() || d.chosenState >= meta.numStates ||
-            d.appliedState >= meta.numStates ||
-            d.bestState >= meta.numStates) {
-            return false;
-        }
-    }
-    if (rec.realized) {
-        rec.stateScores.resize(meta.numStates);
-        for (double &score : rec.stateScores)
-            score = cur.getDouble();
-    }
-    return !cur.failed() && cur.atEnd();
-}
-
-std::string
-encodeTrailer(const ProvenanceLog &log)
-{
-    std::string out;
-    putVarint(out, log.records.size());
-    const RegretSummary &r = log.regret;
-    putVarint(out, r.count);
-    putDouble(out, r.oracleSum);
-    putDouble(out, r.oracleMax);
-    putDouble(out, r.staticSum);
-    putVarint(out, r.buckets.size());
-    for (const std::uint64_t b : r.buckets)
-        putVarint(out, b);
-    return out;
-}
-
-bool
-decodeTrailer(Cursor &cur, std::uint64_t &record_count,
-              RegretSummary &r)
-{
-    record_count = cur.varint();
-    r.count = cur.varint();
-    r.oracleSum = cur.getDouble();
-    r.oracleMax = cur.getDouble();
-    r.staticSum = cur.getDouble();
-    const std::uint64_t buckets = cur.varint();
-    if (cur.failed() || buckets > cur.remaining() ||
-        (buckets != 0 && buckets != RegretSummary::numBuckets)) {
-        return false;
-    }
-    r.buckets.resize(buckets);
-    for (std::uint64_t &b : r.buckets)
-        b = cur.varint();
-    return !cur.failed();
-}
-
-void
-putSection(std::string &out, std::uint8_t tag,
-           const std::string &payload)
-{
-    out.push_back(static_cast<char>(tag));
-    putVarint(out, payload.size());
-    out.append(payload);
-}
-
-ProvenanceReadResult
-failWith(const std::string &what)
-{
-    ProvenanceReadResult res;
-    res.error = "provenance: " + what;
-    return res;
-}
-
-} // namespace
-
-std::string
-encodeProvenance(const ProvenanceLog &log)
-{
-    std::string out = "PCPV";
-    out.push_back(static_cast<char>(provenanceFormatVersion & 0xFF));
-    out.push_back(static_cast<char>(provenanceFormatVersion >> 8));
-    out.push_back('\0');
-    out.push_back('\0');
-
-    putSection(out, tagMeta, encodeMeta(log.meta));
-    std::int64_t prev_start = 0;
-    for (const DecisionRecord &rec : log.records) {
-        putSection(out, tagRecord, encodeRecord(rec, prev_start));
-        prev_start = rec.start;
-    }
-
-    // END section: trailer plus the whole-file checksum over every
-    // byte that precedes the checksum itself.
-    const std::string trailer = encodeTrailer(log);
-    out.push_back(static_cast<char>(tagEnd));
-    putVarint(out, trailer.size() + 8);
-    out.append(trailer);
-    putFixed64(out, fnv1a(fnvSeed, out.data(), out.size()));
-    return out;
-}
-
-ProvenanceReadResult
-decodeProvenance(const std::string &bytes)
-{
-    if (bytes.size() < 8 || bytes.compare(0, 4, "PCPV") != 0)
-        return failWith("not a PCPV file (bad magic)");
-    const std::uint16_t version = static_cast<std::uint16_t>(
-        static_cast<std::uint8_t>(bytes[4]) |
-        (static_cast<std::uint8_t>(bytes[5]) << 8));
-    if (version != provenanceFormatVersion) {
-        return failWith("unsupported version " +
-                        std::to_string(version));
-    }
-
-    ProvenanceLog log;
-    bool have_meta = false;
-    bool have_end = false;
-    std::uint64_t trailer_records = 0;
-    std::int64_t prev_start = 0;
-
-    Cursor cur(bytes.data() + 8, bytes.size() - 8);
-    while (!cur.atEnd()) {
-        if (have_end)
-            return failWith("bytes after END section");
-        const std::uint8_t tag = cur.u8();
-        const std::uint64_t len = cur.varint();
-        if (cur.failed() || len > cur.remaining())
-            return failWith("truncated section");
-        const std::size_t payload_off = bytes.size() - cur.remaining();
-        Cursor payload(bytes.data() + payload_off, len);
-        // Consume the payload from the outer cursor.
-        for (std::uint64_t i = 0; i < len; ++i)
-            cur.u8();
-
-        switch (tag) {
-        case tagMeta:
-            if (have_meta)
-                return failWith("duplicate META section");
-            if (!decodeMeta(payload, log.meta))
-                return failWith("malformed META section");
-            have_meta = true;
-            break;
-        case tagRecord: {
-            if (!have_meta)
-                return failWith("RECORD before META");
-            DecisionRecord rec;
-            if (!decodeRecord(payload, log.meta, prev_start, rec))
-                return failWith("malformed record " +
-                                std::to_string(log.records.size()));
-            prev_start = rec.start;
-            log.records.push_back(std::move(rec));
-            break;
-        }
-        case tagEnd: {
-            if (!have_meta)
-                return failWith("END before META");
-            if (len < 8)
-                return failWith("END section too short");
-            // The last 8 payload bytes are the checksum over every
-            // file byte before them.
-            const std::size_t sum_off = payload_off + len - 8;
-            Cursor trailer(bytes.data() + payload_off, len - 8);
-            if (!decodeTrailer(trailer, trailer_records, log.regret) ||
-                !trailer.atEnd()) {
-                return failWith("malformed trailer");
+        doc += ", \"domains\": [";
+        for (std::size_t d = 0; d < rec.domains.size(); ++d) {
+            const DomainDecisionProv &dom = rec.domains[d];
+            char pc[24];
+            std::snprintf(pc, sizeof(pc), "0x%" PRIx64, dom.pcKey);
+            doc += std::string(d != 0 ? ", " : "") +
+                "{\"pc\": \"" + pc +
+                "\", \"lookups\": " + std::to_string(dom.lookups) +
+                ", \"hits\": " + std::to_string(dom.hits) +
+                ", \"same_region\": " +
+                std::to_string(dom.sameRegion) +
+                ", \"reactive\": " + std::to_string(dom.reactive) +
+                ", \"pred_sens\": " + jsonNumber(dom.predictedSens) +
+                ", \"pred_level\": " +
+                jsonNumber(dom.predictedLevel) +
+                ", \"pred_instr\": " +
+                jsonNumber(dom.predictedInstr) +
+                ", \"elapsed_instr\": " +
+                std::to_string(dom.elapsedInstr) +
+                ", \"load_stall_ticks\": " +
+                std::to_string(dom.loadStallTicks) +
+                ", \"mem_accesses\": " +
+                std::to_string(dom.memAccesses) +
+                ", \"chosen_state\": " +
+                std::to_string(dom.chosenState) +
+                ", \"applied_state\": " +
+                std::to_string(dom.appliedState);
+            if (rec.realized) {
+                doc += ", \"realized_instr\": " +
+                    std::to_string(dom.realizedInstr) +
+                    ", \"chosen_score\": " +
+                    jsonNumber(dom.chosenScore) +
+                    ", \"best_score\": " +
+                    jsonNumber(dom.bestScore) +
+                    ", \"best_state\": " +
+                    std::to_string(dom.bestState) +
+                    ", \"nominal_score\": " +
+                    jsonNumber(dom.nominalScore);
             }
-            Cursor sum(bytes.data() + sum_off, 8);
-            const std::uint64_t stored = sum.fixed64();
-            const std::uint64_t computed =
-                fnv1a(fnvSeed, bytes.data(), sum_off);
-            if (stored != computed)
-                return failWith("checksum mismatch (corrupt file)");
-            have_end = true;
-            break;
+            doc += "}";
         }
-        default:
-            return failWith("unknown section tag " +
-                            std::to_string(tag));
+        doc += "], \"state_scores\": [";
+        for (std::size_t s = 0; s < rec.stateScores.size(); ++s) {
+            doc += (s != 0 ? ", " : "") +
+                jsonNumber(rec.stateScores[s]);
         }
+        doc += "]}";
+        doc += i + 1 != log.records.size() ? ",\n" : "\n";
     }
-
-    if (!have_meta)
-        return failWith("missing META section");
-    if (!have_end)
-        return failWith("missing END section (truncated file)");
-    if (trailer_records != log.records.size())
-        return failWith("record count mismatch (truncated file)");
-
-    ProvenanceReadResult res;
-    res.log = std::move(log);
-    return res;
-}
-
-ProvenanceReadResult
-readProvenanceFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return failWith("cannot open '" + path + "'");
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    if (!is.good() && !is.eof())
-        return failWith("read error on '" + path + "'");
-    return decodeProvenance(buf.str());
+    doc += "  ]\n}\n";
+    return doc;
 }
 
 } // namespace pcstall::obs

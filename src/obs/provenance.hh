@@ -13,13 +13,10 @@
  * choice. Records are produced inside sim::EpochLedger, which both
  * the live ExperimentDriver and trace::ReplayDriver funnel through in
  * identical order, so a replayed trace re-derives the live run's
- * provenance byte-for-byte.
- *
- * Serialized form is the "PCPV" sidecar format (versioned, sectioned,
- * varint/delta-coded, FNV-1a checksummed - the same wire discipline as
- * the PCTR trace format). Encoding is pure bytes-in/bytes-out here;
- * callers publish through store::writeFileAtomic so readers only ever
- * see whole files.
+ * provenance exactly. Records are never stored: the epoch trace is
+ * the one per-epoch record format, and `trace_inspect explain`
+ * re-derives the records from it on demand; provenanceJson() renders
+ * them.
  *
  * Regret definitions (also in docs/provenance.md):
  *
@@ -37,15 +34,11 @@
 #define PCSTALL_OBS_PROVENANCE_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 namespace pcstall::obs
 {
-
-/** Current PCPV format version (bumped on any wire change). */
-inline constexpr std::uint16_t provenanceFormatVersion = 1;
 
 /** One domain's slice of a DecisionRecord. */
 struct DomainDecisionProv
@@ -92,6 +85,8 @@ struct DomainDecisionProv
     std::uint8_t bestState = 0;
     /** Hindsight score of the static-nominal state. */
     double nominalScore = 0.0;
+
+    bool operator==(const DomainDecisionProv &) const = default;
 };
 
 /** One epoch's decision, inputs and realized outcome. */
@@ -122,6 +117,8 @@ struct DecisionRecord
     double oracleRegretRel() const;
     /** Relative static regret (vs |nominalScoreSum|, clamped). */
     double staticRegretRel() const;
+
+    bool operator==(const DecisionRecord &) const = default;
 };
 
 /**
@@ -164,9 +161,11 @@ struct RegretSummary
     double percentile(double p) const;
 
     bool empty() const { return count == 0; }
+
+    bool operator==(const RegretSummary &) const = default;
 };
 
-/** Run identity carried in a PCPV file's META section. */
+/** Run identity of a provenance stream. */
 struct ProvenanceMeta
 {
     std::string workload;
@@ -179,6 +178,8 @@ struct ProvenanceMeta
     std::uint32_t nominalState = 0;
     /** V/f table frequencies in MHz, ascending (display only). */
     std::vector<std::uint32_t> stateFreqMhz;
+
+    bool operator==(const ProvenanceMeta &) const = default;
 };
 
 /** A full provenance stream: meta, records, and the regret rollup. */
@@ -187,35 +188,17 @@ struct ProvenanceLog
     ProvenanceMeta meta;
     std::vector<DecisionRecord> records;
     RegretSummary regret;
+
+    bool operator==(const ProvenanceLog &) const = default;
 };
 
 /**
- * Serialize @p log as PCPV bytes. Deterministic: identical logs
- * always produce identical bytes. Publish with
- * store::writeFileAtomic() so partially written sidecars never exist.
+ * Render @p log as the "pcstall-provenance-v1" JSON document (schema
+ * checked by tools/check_obs_schema.py provenance). Deterministic:
+ * equal logs always render to identical text; non-finite numbers
+ * render as null.
  */
-std::string encodeProvenance(const ProvenanceLog &log);
-
-/** Result of decoding a PCPV image. */
-struct ProvenanceReadResult
-{
-    std::optional<ProvenanceLog> log;
-    /** Empty on success; one-line diagnostic otherwise. */
-    std::string error;
-
-    bool ok() const { return log.has_value(); }
-};
-
-/**
- * Strictly decode PCPV bytes: magic, version, section order, domain /
- * state geometry against META, trailer record count, and the file
- * checksum. Any truncation or corruption is rejected with a
- * diagnostic, never partially decoded.
- */
-ProvenanceReadResult decodeProvenance(const std::string &bytes);
-
-/** Read + decodeProvenance() a PCPV file. */
-ProvenanceReadResult readProvenanceFile(const std::string &path);
+std::string provenanceJson(const ProvenanceLog &log);
 
 } // namespace pcstall::obs
 

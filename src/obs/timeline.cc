@@ -1,5 +1,6 @@
 #include "obs/timeline.hh"
 
+#include <cmath>
 #include <cstdio>
 
 namespace pcstall::obs
@@ -43,6 +44,8 @@ trackNameEvent(std::uint32_t track, std::string name)
 std::string
 jsonNumber(double v)
 {
+    if (!std::isfinite(v))
+        return "null";
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.9g", v);
     return buf;

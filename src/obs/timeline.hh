@@ -73,7 +73,8 @@ TimelineEvent trackNameEvent(std::uint32_t track, std::string name);
 
 /**
  * @param v  Value to format.
- * @return JSON-number fragment of @p v ("%.9g").
+ * @return JSON-number fragment of @p v ("%.9g"; null when @p v is
+ *         NaN or infinite, which JSON cannot represent).
  */
 std::string jsonNumber(double v);
 

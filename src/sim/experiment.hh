@@ -87,8 +87,8 @@ struct RunConfig
     /**
      * Decision-provenance sink (not owned). When non-null the run
      * appends its full DecisionRecord stream, meta and regret rollup
-     * there (docs/provenance.md); the caller serializes it as a PCPV
-     * sidecar. Null (the default) retains nothing.
+     * there (docs/provenance.md). Null (the default) retains
+     * nothing.
      */
     obs::ProvenanceLog *provenance = nullptr;
 

@@ -44,9 +44,9 @@ struct ReplayOptions
     bool auditRegret = false;
     /**
      * Optional decision-provenance sink (not owned). When set, the
-     * replay emits the full DecisionRecord stream — byte-identical to
-     * what a live run over the same trace would have captured, which
-     * is how tools/dvfs_explain re-derives provenance from a PCTR
+     * replay emits the full DecisionRecord stream — identical to what
+     * a live run over the same trace would have captured, which is
+     * how `trace_inspect explain` re-derives provenance from a PCTR
      * trace after the fact.
      */
     obs::ProvenanceLog *provenance = nullptr;

@@ -362,6 +362,15 @@ TEST_F(ObsTest, TimelineCarriesExpectedEventMix)
     EXPECT_NE(json.find("process_name"), std::string::npos);
 }
 
+TEST_F(ObsTest, JsonNumberRendersNonFiniteAsNull)
+{
+    // JSON has no NaN or infinity literal.
+    EXPECT_EQ(obs::jsonNumber(std::nan("")), "null");
+    EXPECT_EQ(obs::jsonNumber(HUGE_VAL), "null");
+    EXPECT_EQ(obs::jsonNumber(-HUGE_VAL), "null");
+    EXPECT_EQ(obs::jsonNumber(0.25), "0.25");
+}
+
 // ---------------------------------------------------------------- //
 // The headline property: byte-identical merges across threads       //
 // ---------------------------------------------------------------- //

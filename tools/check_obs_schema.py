@@ -13,7 +13,8 @@ Stdlib-only checker for the two documents the harnesses emit
                                          section carries wall-clock
                                          values and is stripped)
   check_obs_schema.py provenance <file>  pcstall-provenance-v1 decision
-                                         dump (`dvfs_explain json`,
+                                         dump (`trace_inspect explain
+                                         <trace> json`,
                                          docs/provenance.md)
 
 Exit status: 0 when the document validates, 1 with a diagnostic per

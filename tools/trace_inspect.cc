@@ -16,6 +16,9 @@
  *   trace_inspect library <dir> [list|verify|gc]
  *                                            inspect a --trace-cache
  *                                            replay library
+ *   trace_inspect explain <trace> [decisions|summary|cdf|csv|json]
+ *                                            explain every DVFS
+ *                                            decision of the run
  *
  * `capture` accepts every bench-harness option (--cus, --scale,
  * --epoch-us, --domain-cus, --seed, fault flags, ...). `replay`
@@ -25,17 +28,23 @@
  * speedup over the captured live run. With --threads N (N > 1) the
  * replay is additionally re-driven N times concurrently on fresh
  * controllers and every outcome is checked for bit-identity - a
- * thread-safety/determinism self-test of the replay path. Exit
- * status: 0 on success / traces equal / replay deterministic, 1
- * otherwise.
+ * thread-safety/determinism self-test of the replay path. `explain`
+ * replays the trace with a provenance sink armed and renders the
+ * re-derived decision records (docs/provenance.md): the records are
+ * a pure function of the trace and the controller, so the trace is
+ * the only per-epoch record the harness stores. Exit status: 0 on
+ * success / traces equal / replay deterministic, 1 otherwise.
  */
 
+#include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -46,11 +55,13 @@
 #include "core/pcstall_controller.hh"
 #include "obs/context.hh"
 #include "obs/metrics.hh"
+#include "obs/provenance.hh"
 #include "dvfs/hierarchical.hh"
 #include "dvfs/objective.hh"
 #include "harness.hh"
 #include "sim/parallel_executor.hh"
 #include "sim/trace_export.hh"
+#include "store/atomic_file.hh"
 #include "trace/format.hh"
 #include "trace/library.hh"
 #include "trace/replay.hh"
@@ -85,7 +96,17 @@ usage()
         "          tabulates entries without decoding, `verify`\n"
         "          decodes every entry and quarantines corrupt ones\n"
         "          (exit 1 when any fail), `gc` removes orphan traces,\n"
-        "          dangling sidecars and stale staging temps\n");
+        "          dangling sidecars and stale staging temps\n"
+        "  explain <trace> [decisions|summary|cdf|csv|json]\n"
+        "          [--controller C] [--epoch N] [--limit N]\n"
+        "          [--worst N] [--out F]\n"
+        "          replay with a provenance sink and explain every\n"
+        "          decision: `decisions` (default; first 20, --worst N\n"
+        "          ranks by oracle regret, --epoch N picks one),\n"
+        "          `summary` (regret rollup, hit rates, residency,\n"
+        "          per-PC errors), `cdf` (relative oracle regret),\n"
+        "          `csv` / `json` (per-(epoch, domain) export; --out\n"
+        "          writes a file); --controller C explains a what-if\n");
     return 2;
 }
 
@@ -618,6 +639,445 @@ cmdMetrics(const std::string &path, int argc, char **argv)
     return 0;
 }
 
+std::string
+freqStr(const obs::ProvenanceMeta &meta, std::size_t state)
+{
+    if (state >= meta.stateFreqMhz.size())
+        return "state " + std::to_string(state);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.2f GHz",
+                  static_cast<double>(meta.stateFreqMhz[state]) /
+                      1000.0);
+    return buf;
+}
+
+void
+printRecord(const obs::ProvenanceMeta &meta,
+            const obs::DecisionRecord &rec)
+{
+    const double t_us = static_cast<double>(rec.start) /
+        static_cast<double>(tickUs);
+    std::printf("epoch %" PRIu64 " @ %.3fus%s:", rec.epoch, t_us,
+                rec.fallbackActive ? " [fallback]" : "");
+    if (rec.realized) {
+        std::printf(" regret %+.2f%% vs oracle, %+.2f%% vs static\n",
+                    100.0 * rec.oracleRegretRel(),
+                    100.0 * rec.staticRegretRel());
+    } else {
+        std::printf(" (unrealized: the decided epoch never"
+                    " completed)\n");
+    }
+    for (std::size_t d = 0; d < rec.domains.size(); ++d) {
+        const obs::DomainDecisionProv &dom = rec.domains[d];
+        std::printf("  domain %zu: ", d);
+        if (dom.pcKey != 0 || dom.lookups > 0) {
+            std::printf("PC 0x%" PRIx64 " %s %u/%u", dom.pcKey,
+                        dom.hits == dom.lookups && dom.lookups > 0
+                            ? "hit" : "hits",
+                        dom.hits, dom.lookups);
+            if (dom.sameRegion > 0)
+                std::printf(" (+%u same-region)", dom.sameRegion);
+            if (dom.reactive > 0)
+                std::printf(" (%u reactive)", dom.reactive);
+            std::printf(", sens %.3f", dom.predictedSens);
+        } else {
+            std::printf("no table lookup (stall %" PRIu64
+                        " ticks, %" PRIu64 " mem acc)",
+                        dom.loadStallTicks, dom.memAccesses);
+        }
+        std::printf(", chose %s",
+                    freqStr(meta, dom.chosenState).c_str());
+        if (dom.appliedState != dom.chosenState) {
+            std::printf(" (applied %s)",
+                        freqStr(meta, dom.appliedState).c_str());
+        }
+        if (rec.realized) {
+            std::printf(", best %s",
+                        freqStr(meta, dom.bestState).c_str());
+            if (dom.predictedInstr >= 0.0) {
+                std::printf(", predicted %.0f instr got %" PRIu64,
+                            dom.predictedInstr, dom.realizedInstr);
+            } else {
+                std::printf(", got %" PRIu64 " instr",
+                            dom.realizedInstr);
+            }
+        }
+        std::printf("\n");
+    }
+}
+
+int
+explainDecisions(const obs::ProvenanceLog &log, const CliOptions &cli)
+{
+    if (cli.has("epoch")) {
+        const std::uint64_t want = static_cast<std::uint64_t>(
+            cli.getInt("epoch", 0));
+        for (const obs::DecisionRecord &rec : log.records) {
+            if (rec.epoch == want) {
+                printRecord(log.meta, rec);
+                return 0;
+            }
+        }
+        std::fprintf(stderr,
+                     "epoch %" PRIu64 " has no decision record "
+                     "(%zu recorded)\n",
+                     want, log.records.size());
+        return 1;
+    }
+    if (cli.has("worst")) {
+        const std::size_t n = static_cast<std::size_t>(
+            std::max<std::int64_t>(1, cli.getInt("worst", 10)));
+        // Rank realized decisions by relative oracle regret; ties
+        // break on epoch so the listing is deterministic.
+        std::vector<const obs::DecisionRecord *> ranked;
+        for (const obs::DecisionRecord &rec : log.records) {
+            if (rec.realized)
+                ranked.push_back(&rec);
+        }
+        std::sort(ranked.begin(), ranked.end(),
+                  [](const obs::DecisionRecord *a,
+                     const obs::DecisionRecord *b) {
+                      const double ra = a->oracleRegretRel();
+                      const double rb = b->oracleRegretRel();
+                      if (ra != rb)
+                          return ra > rb;
+                      return a->epoch < b->epoch;
+                  });
+        if (ranked.size() > n)
+            ranked.resize(n);
+        std::printf("%zu highest-regret decisions of %s under %s:\n",
+                    ranked.size(), log.meta.workload.c_str(),
+                    log.meta.controller.c_str());
+        for (const obs::DecisionRecord *rec : ranked)
+            printRecord(log.meta, *rec);
+        return 0;
+    }
+    const std::size_t limit = static_cast<std::size_t>(
+        std::max<std::int64_t>(1, cli.getInt("limit", 20)));
+    for (std::size_t i = 0; i < log.records.size() && i < limit; ++i)
+        printRecord(log.meta, log.records[i]);
+    if (log.records.size() > limit) {
+        std::printf("... and %zu more (use --limit, --worst or "
+                    "--epoch)\n",
+                    log.records.size() - limit);
+    }
+    return 0;
+}
+
+int
+explainSummary(const obs::ProvenanceLog &log)
+{
+    const obs::ProvenanceMeta &meta = log.meta;
+    std::printf("workload:    %s\n", meta.workload.c_str());
+    std::printf("controller:  %s\n", meta.controller.c_str());
+    std::printf("objective:   %s\n", meta.objective.c_str());
+    std::printf("geometry:    %u domain(s), %u V/f states, nominal "
+                "%s\n",
+                meta.numDomains, meta.numStates,
+                freqStr(meta, meta.nominalState).c_str());
+    std::printf("epoch len:   %.3f us\n",
+                static_cast<double>(meta.epochLen) /
+                    static_cast<double>(tickUs));
+
+    std::size_t realized = 0;
+    std::size_t fallback = 0;
+    std::uint64_t lookups = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t same_region = 0;
+    std::uint64_t reactive = 0;
+    for (const obs::DecisionRecord &rec : log.records) {
+        realized += rec.realized ? 1 : 0;
+        fallback += rec.fallbackActive ? 1 : 0;
+        for (const obs::DomainDecisionProv &dom : rec.domains) {
+            lookups += dom.lookups;
+            hits += dom.hits;
+            same_region += dom.sameRegion;
+            reactive += dom.reactive;
+        }
+    }
+    std::printf("decisions:   %zu recorded, %zu realized, %zu under "
+                "fallback\n",
+                log.records.size(), realized, fallback);
+    if (lookups > 0) {
+        std::printf("pc table:    %" PRIu64 " lookups, %.1f%% hit "
+                    "(%" PRIu64 " same-region, %" PRIu64
+                    " reactive)\n",
+                    lookups,
+                    100.0 * static_cast<double>(hits) /
+                        static_cast<double>(lookups),
+                    same_region, reactive);
+    }
+    const obs::RegretSummary &reg = log.regret;
+    if (!reg.empty()) {
+        std::printf("regret:      mean %+.3f%% / p95 %.3f%% / max "
+                    "%.3f%% vs oracle; mean %+.3f%% vs static "
+                    "(%" PRIu64 " decisions)\n",
+                    100.0 * reg.meanOracle(),
+                    100.0 * reg.percentile(0.95),
+                    100.0 * reg.oracleMax, 100.0 * reg.meanStatic(),
+                    reg.count);
+    }
+
+    // Per-state residency attribution over realized domain-epochs:
+    // how often each state was chosen, how often it was the oracle's
+    // pick, and the mean regret borne while running there.
+    struct StateRow
+    {
+        std::uint64_t chosen = 0;
+        std::uint64_t applied = 0;
+        std::uint64_t best = 0;
+        double regretSum = 0.0;
+    };
+    std::vector<StateRow> states(meta.numStates);
+    std::uint64_t domain_epochs = 0;
+    for (const obs::DecisionRecord &rec : log.records) {
+        if (!rec.realized)
+            continue;
+        for (const obs::DomainDecisionProv &dom : rec.domains) {
+            if (dom.chosenState >= states.size() ||
+                dom.appliedState >= states.size() ||
+                dom.bestState >= states.size())
+                continue;
+            ++domain_epochs;
+            ++states[dom.chosenState].chosen;
+            ++states[dom.appliedState].applied;
+            ++states[dom.bestState].best;
+            states[dom.appliedState].regretSum +=
+                rec.oracleRegretRel();
+        }
+    }
+    if (domain_epochs > 0) {
+        std::printf("\nper-state residency attribution "
+                    "(%% of realized domain-epochs):\n");
+        std::printf("  %-10s %8s %8s %8s %12s\n", "state", "chosen",
+                    "applied", "oracle", "mean_regret");
+        for (std::size_t s = 0; s < states.size(); ++s) {
+            const StateRow &row = states[s];
+            if (row.chosen == 0 && row.applied == 0 && row.best == 0)
+                continue;
+            const double denom =
+                static_cast<double>(domain_epochs);
+            std::printf("  %-10s %7.1f%% %7.1f%% %7.1f%% %11.3f%%\n",
+                        freqStr(meta, s).c_str(),
+                        100.0 * static_cast<double>(row.chosen) /
+                            denom,
+                        100.0 * static_cast<double>(row.applied) /
+                            denom,
+                        100.0 * static_cast<double>(row.best) /
+                            denom,
+                        row.applied > 0
+                            ? 100.0 * row.regretSum /
+                                static_cast<double>(row.applied)
+                            : 0.0);
+        }
+    }
+
+    // Per-PC prediction-error breakdown: which table keys mispredict.
+    struct PcRow
+    {
+        std::uint64_t decisions = 0;
+        std::uint64_t lookups = 0;
+        std::uint64_t hits = 0;
+        std::uint64_t predicted = 0;
+        double errSum = 0.0;
+        double regretSum = 0.0;
+    };
+    std::map<std::uint64_t, PcRow> by_pc;
+    for (const obs::DecisionRecord &rec : log.records) {
+        for (const obs::DomainDecisionProv &dom : rec.domains) {
+            if (dom.pcKey == 0)
+                continue;
+            PcRow &row = by_pc[dom.pcKey];
+            ++row.decisions;
+            row.lookups += dom.lookups;
+            row.hits += dom.hits;
+            if (rec.realized) {
+                row.regretSum += rec.oracleRegretRel();
+                if (dom.predictedInstr >= 0.0 &&
+                    dom.realizedInstr > 0) {
+                    ++row.predicted;
+                    row.errSum +=
+                        std::fabs(dom.predictedInstr -
+                                  static_cast<double>(
+                                      dom.realizedInstr)) /
+                        static_cast<double>(dom.realizedInstr);
+                }
+            }
+        }
+    }
+    if (!by_pc.empty()) {
+        std::vector<std::pair<std::uint64_t, PcRow>> ranked(
+            by_pc.begin(), by_pc.end());
+        std::sort(ranked.begin(), ranked.end(),
+                  [](const auto &a, const auto &b) {
+                      if (a.second.decisions != b.second.decisions)
+                          return a.second.decisions >
+                              b.second.decisions;
+                      return a.first < b.first;
+                  });
+        const std::size_t show = std::min<std::size_t>(
+            ranked.size(), 10);
+        std::printf("\nper-PC prediction error (top %zu of %zu "
+                    "keys):\n",
+                    show, ranked.size());
+        std::printf("  %-18s %8s %8s %12s %12s\n", "pc", "epochs",
+                    "hit%", "mean_err", "mean_regret");
+        for (std::size_t i = 0; i < show; ++i) {
+            const PcRow &row = ranked[i].second;
+            char pc[24];
+            std::snprintf(pc, sizeof(pc), "0x%" PRIx64,
+                          ranked[i].first);
+            std::printf(
+                "  %-18s %8" PRIu64 " %7.1f%% %11.2f%% %11.3f%%\n",
+                pc, row.decisions,
+                row.lookups > 0
+                    ? 100.0 * static_cast<double>(row.hits) /
+                        static_cast<double>(row.lookups)
+                    : 0.0,
+                row.predicted > 0
+                    ? 100.0 * row.errSum /
+                        static_cast<double>(row.predicted)
+                    : 0.0,
+                row.decisions > 0
+                    ? 100.0 * row.regretSum /
+                        static_cast<double>(row.decisions)
+                    : 0.0);
+        }
+    }
+    return 0;
+}
+
+int
+explainCdf(const obs::ProvenanceLog &log)
+{
+    std::vector<double> regrets;
+    for (const obs::DecisionRecord &rec : log.records) {
+        if (rec.realized)
+            regrets.push_back(rec.oracleRegretRel());
+    }
+    if (regrets.empty()) {
+        std::printf("no realized decisions\n");
+        return 0;
+    }
+    std::sort(regrets.begin(), regrets.end());
+    std::printf("relative oracle regret CDF (%zu decisions):\n",
+                regrets.size());
+    std::printf("  %-6s %12s\n", "pct", "regret");
+    for (const int pct : {5,  10, 25, 50, 75, 90, 95, 99, 100}) {
+        const std::size_t idx = std::min(
+            regrets.size() - 1,
+            static_cast<std::size_t>(
+                static_cast<double>(pct) / 100.0 *
+                static_cast<double>(regrets.size())));
+        std::printf("  p%-5d %11.4f%%\n", pct, 100.0 * regrets[idx]);
+    }
+    return 0;
+}
+
+/** Print to stdout or atomically publish to --out. */
+int
+emitDocument(const std::string &doc, const CliOptions &cli)
+{
+    const std::string out = cli.get("out", "");
+    if (out.empty()) {
+        std::fwrite(doc.data(), 1, doc.size(), stdout);
+        return 0;
+    }
+    const std::string err = store::writeFileAtomic(out, doc);
+    if (!err.empty())
+        fatal("--out: " + err);
+    return 0;
+}
+
+int
+explainCsv(const obs::ProvenanceLog &log, const CliOptions &cli)
+{
+    std::string doc = "# pcstall-provenance-csv v1\n"
+        "epoch,t_us,domain,fallback,realized,pc_key,lookups,hits,"
+        "same_region,reactive,pred_sens,pred_level,pred_instr,"
+        "elapsed_instr,load_stall_ticks,mem_accesses,chosen_state,"
+        "applied_state,realized_instr,chosen_score,best_score,"
+        "best_state,nominal_score,oracle_regret_rel,"
+        "static_regret_rel\n";
+    char buf[512];
+    for (const obs::DecisionRecord &rec : log.records) {
+        // The regret columns are record-level (chip sums), repeated
+        // on every domain row of the epoch.
+        const double oracle =
+            rec.realized ? rec.oracleRegretRel() : 0.0;
+        const double stat =
+            rec.realized ? rec.staticRegretRel() : 0.0;
+        for (std::size_t d = 0; d < rec.domains.size(); ++d) {
+            const obs::DomainDecisionProv &dom = rec.domains[d];
+            std::snprintf(
+                buf, sizeof(buf),
+                "%" PRIu64 ",%.3f,%zu,%d,%d,0x%" PRIx64
+                ",%u,%u,%u,%u,%.6f,%.6f,%.6f,%" PRIu64 ",%" PRIu64
+                ",%" PRIu64 ",%u,%u,%" PRIu64
+                ",%.9g,%.9g,%u,%.9g,%.9g,%.9g\n",
+                rec.epoch,
+                static_cast<double>(rec.start) /
+                    static_cast<double>(tickUs),
+                d, rec.fallbackActive ? 1 : 0, rec.realized ? 1 : 0,
+                dom.pcKey, dom.lookups, dom.hits, dom.sameRegion,
+                dom.reactive, dom.predictedSens, dom.predictedLevel,
+                dom.predictedInstr, dom.elapsedInstr,
+                dom.loadStallTicks, dom.memAccesses,
+                static_cast<unsigned>(dom.chosenState),
+                static_cast<unsigned>(dom.appliedState),
+                dom.realizedInstr, dom.chosenScore, dom.bestScore,
+                static_cast<unsigned>(dom.bestState),
+                dom.nominalScore, oracle, stat);
+            doc += buf;
+        }
+    }
+    return emitDocument(doc, cli);
+}
+
+/**
+ * Explain a trace's DVFS decisions (docs/provenance.md): replay it
+ * with a provenance sink armed - through the captured controller, or
+ * any other design via --controller for a what-if - and render the
+ * re-derived records in the requested view.
+ */
+int
+cmdExplain(const std::string &path, int argc, char **argv)
+{
+    CliOptions cli(argc, argv);
+    const std::string view = cli.positional().empty()
+        ? "decisions" : cli.positional().front();
+    if (view != "decisions" && view != "summary" && view != "cdf" &&
+        view != "csv" && view != "json") {
+        std::fprintf(stderr,
+                     "explain: unknown view '%s' (expected decisions, "
+                     "summary, cdf, csv or json)\n",
+                     view.c_str());
+        return 2;
+    }
+    const trace::TraceData data = loadOrDie(path);
+    ReplayController rc = makeReplayController(
+        data.meta, cli.get("controller", data.meta.controller));
+    obs::ProvenanceLog log;
+    trace::ReplayDriver replayer(data);
+    trace::ReplayOptions ropts;
+    ropts.verifyDecisions = false;
+    ropts.auditRegret = true;
+    ropts.provenance = &log;
+    const trace::ReplayOutcome outcome = replayer.run(*rc.use, ropts);
+    if (!outcome.ok())
+        fatal(outcome.error);
+
+    if (view == "decisions")
+        return explainDecisions(log, cli);
+    if (view == "summary")
+        return explainSummary(log);
+    if (view == "cdf")
+        return explainCdf(log);
+    if (view == "csv")
+        return explainCsv(log, cli);
+    return emitDocument(obs::provenanceJson(log), cli);
+}
+
 /** Split a sidecar key text on the library's unit separator. */
 std::vector<std::string>
 splitKeyText(const std::string &text)
@@ -758,6 +1218,8 @@ main(int argc, char **argv)
             return cmdMetrics(argv[2], argc - 2, argv + 2);
         if (cmd == "library" && argc >= 3)
             return cmdLibrary(argv[2], argc >= 4 ? argv[3] : "list");
+        if (cmd == "explain" && argc >= 3)
+            return cmdExplain(argv[2], argc - 2, argv + 2);
         return usage();
     });
 }
