@@ -257,10 +257,47 @@ printControllerList()
 
 } // namespace
 
+std::vector<CliFlag>
+BenchOptions::flags(std::vector<CliFlag> extra)
+{
+    std::vector<CliFlag> all = {
+        {"cus", "N"}, {"scale", "X"}, {"epoch-us", "US"},
+        {"domain-cus", "N"}, {"seed", "N"}, {"csv", ""},
+        {"threads", "N"}, {"workloads", "a,b"}, {"controllers", "a,b"},
+        {"list-controllers", ""},
+        {"fault-seed", "N"}, {"noise-sigma", "X"},
+        {"noise-dropout", "P"}, {"trans-fail", "P"},
+        {"trans-extra-ns", "NS"}, {"freq-quant-mhz", "MHZ"},
+        {"bitflips", "X"}, {"watchdog", ""}, {"ecc", ""},
+        {"oracle-threads", "N"},
+        {"trace-out", "PATH"}, {"replay", "PATH"},
+        {"pc-snapshot-out", "PATH"}, {"pc-snapshot-in", "PATH"},
+        {"trace-cache", "DIR"}, {"trace-what-if", ""},
+        {"progress", ""},
+        {"store", "DIR"}, {"resume", ""}, {"shard", "I/N"},
+        {"cell-timeout", "S"}, {"cell-retries", "N"},
+        {"metrics-out", "FILE"}, {"timeline-out", "FILE"},
+        {"csv-out", "FILE"}, {"verbose", ""}, {"log-level", "LEVEL"},
+    };
+    all.insert(all.end(), extra.begin(), extra.end());
+    return all;
+}
+
 BenchOptions
 BenchOptions::parse(int argc, char **argv)
 {
-    CliOptions cli(argc, argv);
+    return parse(CliOptions(argc, argv, flags()));
+}
+
+BenchOptions
+BenchOptions::parse(const CliOptions &cli)
+{
+    // First, so the level also filters the option warnings below.
+    const std::string log_level = cli.get("log-level", "");
+    if (!log_level.empty() && !setLogLevelByName(log_level)) {
+        warn("--log-level must be one of debug|info|warn|error "
+             "(got '" + log_level + "')");
+    }
     BenchOptions opts;
     opts.cus = static_cast<std::uint32_t>(cli.getInt("cus", 8));
     opts.scale = cli.getDouble("scale", 1.0);
@@ -315,15 +352,6 @@ BenchOptions::parse(int argc, char **argv)
     opts.replayTrace = cli.get("replay", "");
     opts.pcSnapshotOut = cli.get("pc-snapshot-out", "");
     opts.pcSnapshotIn = cli.get("pc-snapshot-in", "");
-    // Retired flags: CliOptions accepts unknown names silently, so
-    // say what replaced them instead of letting them do nothing.
-    if (cli.has("provenance-out")) {
-        cli.noteError("--provenance-out: flag removed; capture with "
-                      "--trace-out, inspect with `trace_inspect "
-                      "explain`");
-    }
-    if (cli.has("oracle-mode"))
-        cli.noteError("--oracle-mode: one snapshot mode, flag removed");
     opts.traceCacheDir = cli.get("trace-cache", "");
     opts.traceWhatIf = cli.has("trace-what-if");
     if (opts.traceWhatIf && opts.traceCacheDir.empty()) {
@@ -333,18 +361,14 @@ BenchOptions::parse(int argc, char **argv)
     }
     opts.progress = cli.has("progress");
 
-    if (argc > 0 && argv != nullptr && argv[0] != nullptr) {
-        const std::string argv0 = argv[0];
-        const std::size_t slash = argv0.find_last_of('/');
-        const std::string base = slash == std::string::npos
-            ? argv0 : argv0.substr(slash + 1);
-        if (!base.empty())
-            opts.harnessId = base;
-    }
+    const std::string &argv0 = cli.program();
+    const std::string base = argv0.substr(argv0.find_last_of('/') + 1);
+    if (!base.empty())
+        opts.harnessId = base;
 
     // Farm flags (docs/sweep_farm.md). All validation is recoverable:
-    // a malformed value is reported through cli.errors() and the flag
-    // reverts to its default, never aborting the run.
+    // a malformed value is warned about through cli.noteError() and
+    // the flag reverts to its default, never aborting the run.
     opts.storeDir = cli.get("store", "");
     opts.resume = cli.has("resume");
     if (opts.resume && opts.storeDir.empty()) {
@@ -403,11 +427,6 @@ BenchOptions::parse(int argc, char **argv)
     opts.timelineOut = cli.get("timeline-out", "");
     opts.csvOut = cli.get("csv-out", "");
     opts.verbose = cli.has("verbose");
-    const std::string log_level = cli.get("log-level", "");
-    if (!log_level.empty() && !setLogLevelByName(log_level)) {
-        warn("--log-level must be one of debug|info|warn|error "
-             "(got '" + log_level + "')");
-    }
     configureObservability(opts);
 
     const std::string list = cli.get("workloads", "");
@@ -454,8 +473,6 @@ BenchOptions::parse(int argc, char **argv)
                 "--controllers: no known controller selected");
     }
 
-    for (const std::string &err : cli.errors())
-        warn("bad option " + err + " (using the default)");
     return opts;
 }
 

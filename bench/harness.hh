@@ -191,24 +191,24 @@ struct BenchOptions
      *  build options programmatically may override). */
     std::string harnessId = "harness";
 
-    /** Parse from argv; honours --cus --scale --epoch-us --domain-cus
-     *  --seed --threads --csv --workloads a,b,c --controllers a,b
-     *  --list-controllers (prints the registry and throws CleanExit;
-     *  guardedMain exits 0) plus the fault flags
-     *  --fault-seed --noise-sigma --noise-dropout --trans-fail
-     *  --trans-extra-ns --freq-quant-mhz --bitflips --ecc --watchdog,
-     *  the performance flag --oracle-threads,
-     *  the trace flags --trace-out --replay --pc-snapshot-out
-     *  --pc-snapshot-in --trace-cache --trace-what-if
-     *  (docs/replay_studies.md), the
-     *  progress flag --progress, the farm flags --store --resume --shard i/N
-     *  --cell-timeout --cell-retries (docs/sweep_farm.md), and the
-     *  observability flags --metrics-out --timeline-out --csv-out
-     *  --verbose --log-level (also env PCSTALL_LOG). Malformed
-     *  options, retired flags and unknown workloads are warned about
-     *  and dropped, never fatal.
-     *  Calls configureObservability(). */
+    /**
+     * The common option vocabulary: every flag parse() reads, plus
+     * @p extra, a front end's own flags. Each flag and its meaning is
+     * documented on the field it sets; --list-controllers prints the
+     * registry and throws CleanExit; --log-level debug|info|warn|error
+     * overrides env PCSTALL_LOG.
+     */
+    static std::vector<CliFlag> flags(std::vector<CliFlag> extra = {});
+
+    /** Parse argv against flags() alone (see parse(const CliOptions&)). */
     static BenchOptions parse(int argc, char **argv);
+
+    /**
+     * Read the options from @p cli, which must declare flags().
+     * Malformed values and unknown workloads are warned about and
+     * dropped, never fatal. Calls configureObservability().
+     */
+    static BenchOptions parse(const CliOptions &cli);
 
     workloads::WorkloadParams workloadParams() const;
     sim::RunConfig runConfig() const;
@@ -264,15 +264,6 @@ struct BenchOptions
  */
 std::shared_ptr<const isa::Application>
 makeApp(const std::string &name, const BenchOptions &opts);
-
-/**
- * Thrown by BenchOptions::parse() for informational flags
- * (--list-controllers) that print and stop: guardedMain() turns it
- * into a clean exit 0, so harness bodies never run half-parsed.
- */
-struct CleanExit
-{
-};
 
 /**
  * Factory for every registered controller design: the Table III

@@ -346,8 +346,10 @@ int
 main(int argc, char **argv)
 {
     return bench::guardedMain([&] {
-        auto opts = bench::BenchOptions::parse(argc, argv);
-        CliOptions cli(argc, argv);
+        const CliOptions cli(argc, argv, bench::BenchOptions::flags(
+            {{"repeats", "N"}, {"out", "FILE"},
+             {"check-regression", "FILE"}, {"tolerance", "X"}}));
+        auto opts = bench::BenchOptions::parse(cli);
         const int repeats =
             std::max<int>(1, static_cast<int>(cli.getInt("repeats", 5)));
         const std::string out_path = cli.get("out", "");

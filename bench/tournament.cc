@@ -26,11 +26,12 @@ int
 main(int argc, char **argv)
 {
     return bench::guardedMain([&] {
-        auto opts = bench::BenchOptions::parse(argc, argv);
-        const CliOptions extra(argc, argv);
+        const CliOptions cli(argc, argv, bench::BenchOptions::flags(
+            {{"objectives", "a,b"}, {"leaderboard-json", "FILE"}}));
+        auto opts = bench::BenchOptions::parse(cli);
         const std::vector<bench::TournamentObjective> objectives =
-            bench::tournamentObjectives(extra.get("objectives", ""));
-        const std::string json_out = extra.get("leaderboard-json", "");
+            bench::tournamentObjectives(cli.get("objectives", ""));
+        const std::string json_out = cli.get("leaderboard-json", "");
 
         bench::banner("TOURNAMENT",
                       "Controller leaderboard across objectives", opts);

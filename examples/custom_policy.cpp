@@ -117,7 +117,8 @@ class TransitionCounter : public dvfs::DvfsController
 int
 main(int argc, char **argv)
 try {
-    CliOptions cli(argc, argv);
+    const CliOptions cli(argc, argv,
+                         {{"cus", "N"}, {"workload", "NAME"}});
     const auto cus = static_cast<std::uint32_t>(cli.getInt("cus", 8));
     const std::string workload = cli.get("workload", "BwdBN");
 
@@ -161,6 +162,10 @@ try {
                                  counted.transitions(), 1))),
                 (hr.ed2p() / base.ed2p() - 1.0) * 100.0);
     return 0;
+}
+catch (const CleanExit &)
+{
+    return 0; // --help printed the usage
 }
 catch (const FatalError &)
 {

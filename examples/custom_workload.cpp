@@ -61,7 +61,9 @@ app demo = stencil stencil stencil stencil
 int
 main(int argc, char **argv)
 try {
-    CliOptions cli(argc, argv);
+    const CliOptions cli(argc, argv,
+                         {{"cus", "N"}, {"file", "PATH"},
+                          {"trace-csv", "PATH"}, {"export", "NAME"}});
 
     const std::string export_name = cli.get("export", "");
     if (!export_name.empty()) {
@@ -136,6 +138,10 @@ try {
             std::printf("  %s\n", line.c_str());
     }
     return 0;
+}
+catch (const CleanExit &)
+{
+    return 0; // --help printed the usage
 }
 catch (const FatalError &)
 {

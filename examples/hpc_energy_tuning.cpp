@@ -51,7 +51,8 @@ measure(sim::ExperimentDriver &driver,
 int
 main(int argc, char **argv)
 try {
-    CliOptions cli(argc, argv);
+    const CliOptions cli(argc, argv,
+                         {{"cus", "N"}, {"epoch-us", "US"}});
     const auto cus = static_cast<std::uint32_t>(cli.getInt("cus", 8));
 
     std::printf("HPC energy tuning under performance bounds "
@@ -97,6 +98,10 @@ try {
                 "into energy savings; the reactive baseline wastes "
                 "part of it on mispredicted epochs (paper Fig 18a).\n");
     return 0;
+}
+catch (const CleanExit &)
+{
+    return 0; // --help printed the usage
 }
 catch (const FatalError &)
 {

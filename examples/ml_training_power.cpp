@@ -28,7 +28,8 @@ using namespace pcstall;
 int
 main(int argc, char **argv)
 try {
-    CliOptions cli(argc, argv);
+    const CliOptions cli(argc, argv,
+                         {{"cus", "N"}, {"epoch-us", "US"}});
     const auto cus = static_cast<std::uint32_t>(cli.getInt("cus", 8));
 
     // Compose one training step from MI layer kernels.
@@ -86,6 +87,10 @@ try {
                 "states while normalization/pooling layers drop to "
                 "the bottom of the V/f range.\n");
     return 0;
+}
+catch (const CleanExit &)
+{
+    return 0; // --help printed the usage
 }
 catch (const FatalError &)
 {

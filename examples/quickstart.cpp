@@ -22,7 +22,8 @@ using namespace pcstall;
 int
 main(int argc, char **argv)
 try {
-    CliOptions cli(argc, argv);
+    const CliOptions cli(
+        argc, argv, {{"cus", "N"}, {"epoch-us", "US"}, {"workload", "NAME"}});
 
     // 1. Configure the experiment: GPU size, DVFS epoch, objective.
     sim::RunConfig cfg;
@@ -76,6 +77,10 @@ try {
                 dvfs_run.predictionAccuracy * 100.0,
                 pcstall.tableHitRatio() * 100.0);
     return 0;
+}
+catch (const CleanExit &)
+{
+    return 0; // --help printed the usage
 }
 catch (const FatalError &)
 {

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tiny command-line option parser shared by the benchmark harnesses and
- * examples, supporting "--name value" and "--flag" style options.
+ * Command-line option parser shared by the benchmark harnesses, tools
+ * and examples: each front end declares the flags it accepts and the
+ * parser holds argv to that table.
  */
 
 #ifndef PCSTALL_COMMON_CLI_HH
@@ -15,20 +16,51 @@
 namespace pcstall
 {
 
+/** One flag a front end accepts. */
+struct CliFlag
+{
+    /** Name without the leading "--". */
+    std::string name;
+    /** Placeholder shown for the value in usage ("N", "DIR"); empty
+     *  for a boolean flag, which never consumes the next token. */
+    std::string value;
+};
+
 /**
- * Parses argv into a name -> value map and offers typed accessors with
- * defaults. Unknown options are accepted (the figure harnesses share a
- * common option vocabulary but only consume a subset each).
+ * Thrown after an informational flag (--help, --list-controllers)
+ * printed what was asked for. Front-end mains turn it into exit 0
+ * (bench::guardedMain does), so no banner or simulation follows.
+ */
+struct CleanExit
+{
+};
+
+/**
+ * Parses argv against a declared flag table into a name -> value map
+ * and offers typed accessors with defaults.
+ *
+ * - "--name value" and "--name=value" set a value flag; a boolean
+ *   flag never takes the next token, so "--csv x" leaves x
+ *   positional.
+ * - An undeclared flag is fatal(), naming it above usage().
+ * - "--help" (or "-h") prints usage() to stdout and throws CleanExit.
+ * - "--" ends option parsing; every later token is positional.
  *
  * Malformed values are recoverable, not fatal: a typed accessor that
- * cannot parse its value returns the default and records a diagnostic
- * in errors(), so a harness can report every bad option and keep
- * running (or bail out cleanly) instead of exiting mid-parse.
+ * cannot parse its value warns, returns the default and records the
+ * diagnostic in errors(). A value flag given without a value is
+ * treated the same way: warned about and left at its default.
  */
 class CliOptions
 {
   public:
-    CliOptions(int argc, char **argv);
+    /**
+     * @param flags    the flags this front end accepts.
+     * @param synopsis command part of the usage line; defaults to
+     *                 "<argv[0] basename> [options]".
+     */
+    CliOptions(int argc, char **argv, std::vector<CliFlag> flags,
+               std::string synopsis = "");
 
     /** True when --name was present (with or without a value). */
     bool has(const std::string &name) const;
@@ -45,20 +77,30 @@ class CliOptions
     /** Positional (non --option) arguments in order. */
     const std::vector<std::string> &positional() const { return extras; }
 
+    /** argv[0] as given (empty when argc is 0). */
+    const std::string &program() const { return argv0; }
+
+    /** The usage text generated from the flag table. */
+    std::string usage() const;
+
     /** Diagnostics for values a typed accessor could not parse. */
     const std::vector<std::string> &errors() const { return parseErrors; }
 
     /**
      * Record a caller-side validation diagnostic (e.g. "--shard 3/2:
-     * index must be < count") so it is reported through the same
-     * recoverable errors() channel as malformed values.
+     * index must be < count"): warned about and kept in errors(),
+     * like a malformed value.
      */
-    void noteError(const std::string &message) const
-    {
-        parseErrors.push_back(message);
-    }
+    void noteError(const std::string &message) const;
 
   private:
+    /** The raw value of declared flag @p name, or null when absent.
+     *  Reading an undeclared name is a front-end bug and panics. */
+    const std::string *find(const std::string &name) const;
+
+    std::vector<CliFlag> declared;
+    std::string argv0;
+    std::string synopsis;
     std::map<std::string, std::string> values;
     std::vector<std::string> extras;
     /** Mutable: accessors are logically const but record bad values. */

@@ -260,7 +260,8 @@ forkPreExecuteSweep(const gpu::GpuChip &chip,
             fork_wall->record(wall);
             // Keyed by the sample's base state (domain 0's state; with
             // shuffle, domain d runs state (k + d) mod S this sample).
-            char name[40];
+            // Sized for any size_t index, so the name never truncates.
+            char name[48];
             std::snprintf(name, sizeof(name),
                           "oracle.fork_wall_ns.s%02zu", k);
             registry->histogram(name, obs::MetricKind::Timing)

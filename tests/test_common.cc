@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/cli.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats_util.hh"
 #include "common/table_writer.hh"
@@ -178,11 +181,28 @@ TEST(TableWriter, Formatters)
     EXPECT_EQ(formatPercent(0.316, 1), "31.6%");
 }
 
+namespace
+{
+
+/** Parse @p args (argv[0] is "prog") against a small flag table. */
+CliOptions
+parseCli(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "prog");
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    return CliOptions(static_cast<int>(argv.size()), argv.data(),
+                      {{"cus", "N"}, {"scale", "X"}, {"csv", ""},
+                       {"missing", "N"}});
+}
+
+} // namespace
+
 TEST(Cli, ParsesOptionsAndPositionals)
 {
-    const char *argv[] = {"prog", "--cus", "32", "--csv",
-                          "--scale=0.5", "pos1"};
-    CliOptions cli(6, const_cast<char **>(argv));
+    const CliOptions cli =
+        parseCli({"--cus", "32", "--csv", "--scale=0.5", "pos1"});
     EXPECT_EQ(cli.getInt("cus", 1), 32);
     EXPECT_TRUE(cli.has("csv"));
     EXPECT_DOUBLE_EQ(cli.getDouble("scale", 1.0), 0.5);
@@ -193,13 +213,66 @@ TEST(Cli, ParsesOptionsAndPositionals)
 
 TEST(Cli, MalformedValuesFallBackAndAreDiagnosed)
 {
-    const char *argv[] = {"prog", "--cus", "lots", "--scale=fast"};
-    CliOptions cli(4, const_cast<char **>(argv));
+    const CliOptions cli = parseCli({"--cus", "lots", "--scale=fast"});
     EXPECT_EQ(cli.getInt("cus", 8), 8);
     EXPECT_DOUBLE_EQ(cli.getDouble("scale", 1.0), 1.0);
     ASSERT_EQ(cli.errors().size(), 2u);
     EXPECT_NE(cli.errors()[0].find("--cus"), std::string::npos);
     EXPECT_NE(cli.errors()[1].find("--scale"), std::string::npos);
+}
+
+TEST(Cli, UndeclaredFlagIsFatalAndNamesIt)
+{
+    ::testing::internal::CaptureStderr();
+    EXPECT_THROW(parseCli({"--cus", "4", "--bogus-flag", "3"}),
+                 FatalError);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("unknown option --bogus-flag"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("usage: prog [options]"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("[--cus N]"), std::string::npos) << err;
+}
+
+TEST(Cli, BooleanFlagLeavesTheNextTokenPositional)
+{
+    const CliOptions cli = parseCli({"--csv", "pos1", "--cus", "4"});
+    EXPECT_TRUE(cli.has("csv"));
+    EXPECT_EQ(cli.get("csv", ""), "1");
+    ASSERT_EQ(cli.positional().size(), 1u);
+    EXPECT_EQ(cli.positional()[0], "pos1");
+    EXPECT_EQ(cli.getInt("cus", 8), 4);
+}
+
+TEST(Cli, DoubleDashEndsOptions)
+{
+    const CliOptions cli =
+        parseCli({"--cus", "4", "--", "harness", "--bogus", "--help"});
+    EXPECT_EQ(cli.getInt("cus", 8), 4);
+    const std::vector<std::string> want = {"harness", "--bogus",
+                                           "--help"};
+    EXPECT_EQ(cli.positional(), want);
+}
+
+TEST(Cli, HelpPrintsUsageAndExitsCleanly)
+{
+    for (const char *help : {"--help", "-h"}) {
+        ::testing::internal::CaptureStdout();
+        EXPECT_THROW(parseCli({"--cus", "4", help}), CleanExit);
+        const std::string out = ::testing::internal::GetCapturedStdout();
+        EXPECT_EQ(out.rfind("usage: prog [options]\noptions:", 0), 0u)
+            << out;
+        EXPECT_NE(out.find("[--csv]"), std::string::npos) << out;
+    }
+}
+
+TEST(Cli, ValueFlagWithoutValueKeepsItsDefault)
+{
+    const CliOptions cli = parseCli({"--cus", "--csv"});
+    EXPECT_FALSE(cli.has("cus"));
+    EXPECT_TRUE(cli.has("csv"));
+    ASSERT_EQ(cli.errors().size(), 1u);
+    EXPECT_NE(cli.errors()[0].find("--cus: missing N"), std::string::npos);
 }
 
 TEST(Stats, StdDevKnownValues)

@@ -689,22 +689,16 @@ TEST(FarmCli, NegativeTimeoutAndResumeWithoutStoreAreRecoverable)
     EXPECT_FALSE(parseArgs({"--resume"}).resume);
 }
 
-TEST(FarmCli, RetiredFlagsWarnWithTheirReplacement)
+TEST(FarmCli, RetiredFlagsAreRejectedAsUnknown)
 {
-    // CliOptions accepts unknown names, so a retired flag must say
-    // what replaced it rather than silently doing nothing.
-    ::testing::internal::CaptureStderr();
-    parseArgs({"--provenance-out", "run-{w}-{c}.pcpv", "--oracle-mode",
-               "copy"});
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("--provenance-out: flag removed; capture with "
-                       "--trace-out, inspect with `trace_inspect "
-                       "explain`"),
-              std::string::npos)
-        << err;
-    EXPECT_NE(err.find("--oracle-mode: one snapshot mode, flag removed"),
-              std::string::npos)
-        << err;
+    for (const char *flag : {"--provenance-out", "--oracle-mode"}) {
+        ::testing::internal::CaptureStderr();
+        EXPECT_THROW(parseArgs({flag, "x"}), FatalError) << flag;
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find(std::string("unknown option ") + flag),
+                  std::string::npos)
+            << err;
+    }
 }
 
 } // namespace

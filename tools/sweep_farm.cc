@@ -77,14 +77,10 @@ struct Worker
     std::time_t started = 0;
 };
 
-std::string
-usage()
-{
-    return "usage: sweep_farm --workers N --store DIR "
-           "[--max-restarts K] [--log-dir DIR] -- <harness> "
-           "[args...]\n"
-           "       sweep_farm --status --store DIR [--log-dir DIR]";
-}
+const char *const synopsis =
+    "sweep_farm --workers N --store DIR [--max-restarts K]\n"
+    "                  [--log-dir DIR] -- <harness> [args...]\n"
+    "       sweep_farm --status --store DIR [--log-dir DIR]";
 
 std::string
 heartbeatPath(const std::string &log_dir, unsigned shard)
@@ -397,55 +393,37 @@ int
 main(int argc, char **argv)
 {
     return bench::guardedMain([&]() -> int {
+        const CliOptions cli(
+            argc, argv,
+            {{"workers", "N"}, {"max-restarts", "K"}, {"store", "DIR"},
+             {"log-dir", "DIR"}, {"status", ""}},
+            synopsis);
         FarmOptions opts;
-        bool status = false;
-        int i = 1;
-        for (; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--") {
-                ++i;
-                break;
-            }
-            const auto value = [&]() -> std::string {
-                fatalIf(i + 1 >= argc, arg + " needs a value\n" +
-                        usage());
-                return argv[++i];
-            };
-            if (arg == "--workers") {
-                opts.workers = static_cast<unsigned>(
-                    std::strtoul(value().c_str(), nullptr, 10));
-            } else if (arg == "--max-restarts") {
-                opts.maxRestarts = static_cast<unsigned>(
-                    std::strtoul(value().c_str(), nullptr, 10));
-            } else if (arg == "--store") {
-                opts.storeDir = value();
-            } else if (arg == "--log-dir") {
-                opts.logDir = value();
-            } else if (arg == "--status") {
-                status = true;
-            } else if (arg == "--help" || arg == "-h") {
-                inform(usage());
-                return 0;
-            } else {
-                fatal("unknown option " + arg + "\n" + usage());
-            }
-        }
-        for (; i < argc; ++i)
-            opts.command.push_back(argv[i]);
+        const std::int64_t workers = cli.getInt("workers", 2);
+        fatalIf(workers < 1, "--workers must be >= 1");
+        opts.workers = static_cast<unsigned>(workers);
+        const std::int64_t restarts = cli.getInt("max-restarts", 2);
+        if (restarts < 0)
+            cli.noteError("--max-restarts: must be >= 0");
+        else
+            opts.maxRestarts = static_cast<unsigned>(restarts);
+        opts.storeDir = cli.get("store", "");
+        opts.logDir = cli.get("log-dir", "");
+        opts.command = cli.positional();
+        const bool status = cli.has("status");
 
         fatalIf(opts.storeDir.empty(),
                 "--store DIR is required (workers share results "
-                "through it)\n" + usage());
+                "through it)\n" + cli.usage());
         if (opts.logDir.empty())
             opts.logDir = opts.storeDir;
         if (status) {
             fatalIf(!opts.command.empty(),
-                    "--status takes no harness command\n" + usage());
+                    "--status takes no harness command\n" + cli.usage());
             return statusMain(opts);
         }
         fatalIf(opts.command.empty(),
-                "no harness command after --\n" + usage());
-        fatalIf(opts.workers < 1, "--workers must be >= 1");
+                "no harness command after --\n" + cli.usage());
         return farmMain(opts);
     });
 }

@@ -72,11 +72,11 @@ using namespace pcstall;
 namespace
 {
 
-int
-usage()
+void
+printUsage(std::FILE *out)
 {
     std::fprintf(
-        stderr,
+        out,
         "usage: trace_inspect <command> [arguments]\n"
         "  header  <trace>                     dump meta + trailer\n"
         "  stats   <trace>                     per-epoch statistics\n"
@@ -106,7 +106,14 @@ usage()
         "          `summary` (regret rollup, hit rates, residency,\n"
         "          per-PC errors), `cdf` (relative oracle regret),\n"
         "          `csv` / `json` (per-(epoch, domain) export; --out\n"
-        "          writes a file); --controller C explains a what-if\n");
+        "          writes a file); --controller C explains a what-if\n"
+        "Every command accepts --help.\n");
+}
+
+int
+usage()
+{
+    printUsage(stderr);
     return 2;
 }
 
@@ -401,9 +408,8 @@ cmdDiff(const std::string &path_a, const std::string &path_b)
 }
 
 int
-cmdCapture(int argc, char **argv)
+cmdCapture(const CliOptions &cli)
 {
-    CliOptions cli(argc, argv);
     const std::string out = cli.get("out", "");
     const std::string design =
         cli.get("controller", cli.get("design", "PCSTALL"));
@@ -411,7 +417,7 @@ cmdCapture(int argc, char **argv)
         std::fprintf(stderr, "capture: --out <trace file> required\n");
         return 2;
     }
-    bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
+    bench::BenchOptions opts = bench::BenchOptions::parse(cli);
     opts.traceOut = out;
     opts.replayTrace.clear();
     const std::string workload =
@@ -454,9 +460,8 @@ cmdCapture(int argc, char **argv)
 }
 
 int
-cmdReplay(const std::string &path, int argc, char **argv)
+cmdReplay(const std::string &path, const CliOptions &cli)
 {
-    CliOptions cli(argc, argv);
     const trace::TraceData data = loadOrDie(path);
     const std::string design =
         cli.get("controller", data.meta.controller);
@@ -528,8 +533,8 @@ cmdReplay(const std::string &path, int argc, char **argv)
     // controllers and require every outcome to be bit-identical to
     // the serial replay above - a thread-safety/determinism self-test
     // of the replay path.
-    const unsigned threads = static_cast<unsigned>(
-        std::strtoul(cli.get("threads", "1").c_str(), nullptr, 10));
+    const auto threads = static_cast<unsigned>(
+        std::max<std::int64_t>(1, cli.getInt("threads", 1)));
     if (threads > 1) {
         sim::ParallelExecutor pool(threads);
         std::vector<trace::ReplayOutcome> outs(threads);
@@ -573,9 +578,8 @@ cmdReplay(const std::string &path, int argc, char **argv)
  * standard exporters (JSON, or Prometheus text for .prom/.txt).
  */
 int
-cmdMetrics(const std::string &path, int argc, char **argv)
+cmdMetrics(const std::string &path, const CliOptions &cli)
 {
-    CliOptions cli(argc, argv);
     const trace::TraceData data = loadOrDie(path);
     const std::string design =
         cli.get("controller", data.meta.controller);
@@ -1041,11 +1045,11 @@ explainCsv(const obs::ProvenanceLog &log, const CliOptions &cli)
  * re-derived records in the requested view.
  */
 int
-cmdExplain(const std::string &path, int argc, char **argv)
+cmdExplain(const CliOptions &cli)
 {
-    CliOptions cli(argc, argv);
-    const std::string view = cli.positional().empty()
-        ? "decisions" : cli.positional().front();
+    const std::string &path = cli.positional()[0];
+    const std::string view = cli.positional().size() < 2
+        ? "decisions" : cli.positional()[1];
     if (view != "decisions" && view != "summary" && view != "cdf" &&
         view != "csv" && view != "json") {
         std::fprintf(stderr,
@@ -1202,24 +1206,66 @@ main(int argc, char **argv)
         if (argc < 2)
             return usage();
         const std::string cmd = argv[1];
-        if (cmd == "header" && argc >= 3)
-            return cmdHeader(argv[2]);
-        if (cmd == "stats" && argc >= 3)
-            return cmdStats(argv[2]);
-        if (cmd == "csv" && argc >= 3)
-            return cmdCsv(argv[2], std::cout);
-        if (cmd == "diff" && argc >= 4)
-            return cmdDiff(argv[2], argv[3]);
+        if (cmd == "--help" || cmd == "-h") {
+            printUsage(stdout);
+            return 0;
+        }
+        // Each command parses its own arguments against its own flags,
+        // its name standing in for argv[0].
+        struct Command
+        {
+            const char *name;
+            const char *args;
+            std::size_t positionals;
+            std::vector<CliFlag> flags;
+        };
+        const Command commands[] = {
+            {"header", "<trace>", 1, {}},
+            {"stats", "<trace>", 1, {}},
+            {"csv", "<trace>", 1, {}},
+            {"diff", "<a> <b>", 2, {}},
+            {"capture", "--out T [options]", 0,
+             bench::BenchOptions::flags({{"out", "T"}, {"workload", "W"},
+                                         {"controller", "C"},
+                                         {"design", "C"}})},
+            {"replay", "<trace> [options]", 1,
+             {{"controller", "C"}, {"csv-out", "F"},
+              {"pc-snapshot-out", "F"}, {"no-verify", ""}, {"quiet", ""},
+              {"threads", "N"}}},
+            {"metrics", "<trace> [options]", 1,
+             {{"controller", "C"}, {"out", "F"}}},
+            {"library", "<dir> [list|verify|gc]", 1, {}},
+            {"explain",
+             "<trace> [decisions|summary|cdf|csv|json] [options]", 1,
+             {{"controller", "C"}, {"epoch", "N"}, {"limit", "N"},
+              {"worst", "N"}, {"out", "F"}}},
+        };
+        const Command *command = std::find_if(
+            std::begin(commands), std::end(commands),
+            [&](const Command &c) { return cmd == c.name; });
+        if (command == std::end(commands))
+            return usage();
+        const CliOptions cli(argc - 1, argv + 1, command->flags,
+                             "trace_inspect " + cmd + " " + command->args);
+        const std::vector<std::string> &pos = cli.positional();
+        if (pos.size() < command->positionals)
+            return usage();
+        if (cmd == "header")
+            return cmdHeader(pos[0]);
+        if (cmd == "stats")
+            return cmdStats(pos[0]);
+        if (cmd == "csv")
+            return cmdCsv(pos[0], std::cout);
+        if (cmd == "diff")
+            return cmdDiff(pos[0], pos[1]);
         if (cmd == "capture")
-            return cmdCapture(argc - 1, argv + 1);
-        if (cmd == "replay" && argc >= 3)
-            return cmdReplay(argv[2], argc - 2, argv + 2);
-        if (cmd == "metrics" && argc >= 3)
-            return cmdMetrics(argv[2], argc - 2, argv + 2);
-        if (cmd == "library" && argc >= 3)
-            return cmdLibrary(argv[2], argc >= 4 ? argv[3] : "list");
-        if (cmd == "explain" && argc >= 3)
-            return cmdExplain(argv[2], argc - 2, argv + 2);
-        return usage();
+            return cmdCapture(cli);
+        if (cmd == "replay")
+            return cmdReplay(pos[0], cli);
+        if (cmd == "metrics")
+            return cmdMetrics(pos[0], cli);
+        if (cmd == "library")
+            return cmdLibrary(pos[0], pos.size() > 1 ? pos[1] : "list");
+        return cmdExplain(cli);
     });
 }
