@@ -19,6 +19,7 @@
 #include "obs/context.hh"
 #include "obs/export.hh"
 #include "oracle/oracle_controllers.hh"
+#include "sim/parallel_executor.hh"
 #include "sim/timeline_recorder.hh"
 #include "trace/format.hh"
 #include "trace/replay.hh"
@@ -269,7 +270,7 @@ BenchOptions::flags(std::vector<CliFlag> extra)
         {"noise-dropout", "P"}, {"trans-fail", "P"},
         {"trans-extra-ns", "NS"}, {"freq-quant-mhz", "MHZ"},
         {"bitflips", "X"}, {"watchdog", ""}, {"ecc", ""},
-        {"oracle-threads", "N"},
+        {"oracle-threads", "N"}, {"cu-threads", "N"},
         {"trace-out", "PATH"}, {"replay", "PATH"},
         {"pc-snapshot-out", "PATH"}, {"pc-snapshot-in", "PATH"},
         {"trace-cache", "DIR"}, {"trace-what-if", ""},
@@ -346,6 +347,14 @@ BenchOptions::parse(const CliOptions &cli)
         opts.oracleThreads = 1;
     } else {
         opts.oracleThreads = static_cast<unsigned>(oracle_threads);
+    }
+
+    const std::int64_t cu_threads = cli.getInt("cu-threads", 0);
+    if (cu_threads < 0) {
+        warn("--cu-threads must be >= 0 (using the automatic count)");
+        opts.cuThreads = 0;
+    } else {
+        opts.cuThreads = static_cast<unsigned>(cu_threads);
     }
 
     opts.traceOut = cli.get("trace-out", "");
@@ -502,8 +511,20 @@ BenchOptions::runConfig() const
     cfg.collectTrace = collectTrace;
     cfg.auditRegret = auditRegret;
     cfg.oracleThreads = oracleThreads;
+    cfg.cuThreads = cuThreadCount();
     cfg.scaled();
     return cfg;
+}
+
+unsigned
+BenchOptions::cuThreadCount() const
+{
+    if (cuThreads > 0)
+        return cuThreads;
+    // Share the machine with the sweep's concurrent cells.
+    const unsigned hw = sim::ParallelExecutor::defaultThreadCount();
+    const unsigned sweep = threads > 0 ? threads : hw;
+    return std::max(1u, hw / sweep);
 }
 
 sim::ProfileConfig

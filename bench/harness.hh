@@ -81,6 +81,13 @@ struct BenchOptions
     /** Threads for in-cell oracle sample parallelism
      *  (--oracle-threads; 1 = serial, thread-count independent). */
     unsigned oracleThreads = 1;
+    /**
+     * Threads stepping each run's CUs inside an epoch (--cu-threads;
+     * 0 = hardware threads / sweep threads, at least 1). Only chips
+     * with 16 or more CUs per thread use them; output is independent
+     * of the value. See cuThreadCount().
+     */
+    unsigned cuThreads = 0;
     /** Optimization objective for the runs (harness-set, no flag). */
     dvfs::Objective objective = dvfs::Objective::Ed2p;
     /** For the EnergyUnderPerfBound objective. */
@@ -212,6 +219,9 @@ struct BenchOptions
 
     workloads::WorkloadParams workloadParams() const;
     sim::RunConfig runConfig() const;
+
+    /** --cu-threads with its automatic default resolved. */
+    unsigned cuThreadCount() const;
 
     /** Profiler configuration matching runConfig()'s scaling. */
     sim::ProfileConfig profileConfig() const;

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "gpu/cu_team.hh"
 #include "gpu/gpu_chip.hh"
 #include "harness.hh"
 #include "obs/context.hh"
@@ -199,7 +200,31 @@ resultFingerprint(const sim::RunResult &r)
     return h;
 }
 
-/** Settings the baseline comparison must agree on. */
+/**
+ * The 64-CU cell's options: one cell at a time, so its automatic
+ * --cu-threads count is every hardware thread.
+ */
+bench::BenchOptions
+options64(const bench::BenchOptions &opts)
+{
+    bench::BenchOptions opts64 = opts;
+    opts64.cus = 64;
+    opts64.threads = 1;
+    return opts64;
+}
+
+/** Threads stepping e2e_pcstall_64's CUs (1 = the serial loop). */
+unsigned
+cuTeam64(const bench::BenchOptions &opts)
+{
+    return std::max(1u, gpu::CuTeam::sizeFor(
+                            options64(opts).cuThreadCount(), 64));
+}
+
+/**
+ * Settings the baseline comparison must agree on, including the CU
+ * team size e2e_pcstall_64 ran with (it follows the hardware).
+ */
 std::string
 configFingerprint(const bench::BenchOptions &opts,
                   const std::string &workload)
@@ -211,6 +236,7 @@ configFingerprint(const bench::BenchOptions &opts,
     h = hashCombine(h, opts.seed);
     for (char c : workload)
         h = hashCombine(h, static_cast<std::uint64_t>(c));
+    h = hashCombine(h, cuTeam64(opts));
     char buf[32];
     std::snprintf(buf, sizeof(buf), "0x%016llx",
                   static_cast<unsigned long long>(h));
@@ -313,9 +339,10 @@ writeJson(const std::string &path, const bench::BenchOptions &opts,
     std::snprintf(buf, sizeof(buf),
                   "    \"seed\": %llu,\n    \"repeats\": %d,\n"
                   "    \"oracle_threads\": %u,\n"
+                  "    \"cu_threads_64\": %u,\n"
                   "    \"fingerprint\": \"%s\"\n  },\n",
                   static_cast<unsigned long long>(opts.seed), repeats,
-                  oracle_threads,
+                  oracle_threads, cuTeam64(opts),
                   configFingerprint(opts, workload).c_str());
     os << buf << "  \"benchmarks\": [\n";
     for (std::size_t i = 0; i < timings.size(); ++i) {
@@ -513,11 +540,11 @@ main(int argc, char **argv)
             }));
 
         // --- the paper's 64-CU chip: one PCSTALL cell whatever
-        // --cus says, where the event loop orders 64 CUs per tick;
-        // every repeat must reproduce the warmup run bit for bit.
+        // --cus says, where the event loop orders 64 CUs per tick, on
+        // the automatic CU team; every repeat must reproduce the
+        // warmup run bit for bit.
         {
-            bench::BenchOptions opts64 = opts;
-            opts64.cus = 64;
+            const bench::BenchOptions opts64 = options64(opts);
             const auto app64 = bench::makeApp(workload, opts64);
             fatalIf(!app64, "cannot build workload " + workload);
             std::optional<std::uint64_t> pcstall64_fp;
@@ -639,7 +666,8 @@ main(int argc, char **argv)
                        configFingerprint(opts, workload)) {
                 warn("baseline config fingerprint mismatch (" +
                      base.fingerprint + "): rerun with the baseline's "
-                     "--cus/--scale/--epoch-us/--seed/--workloads");
+                     "--cus/--scale/--epoch-us/--seed/--workloads and "
+                     "64-CU team size (cu_threads_64, --cu-threads)");
                 ++failures;
             } else {
                 // Gate on min-of-N: the minimum over the timed

@@ -1,6 +1,7 @@
 #include "gpu/compute_unit.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 
 #include "common/logging.hh"
@@ -182,16 +183,21 @@ ComputeUnit::pickReadyWave(std::uint32_t simd) const
     return static_cast<int>(best_key & 0xffff);
 }
 
-std::uint32_t
-ComputeUnit::ageRankOf(std::uint32_t slot) const
+void
+ComputeUnit::ageRanks(std::vector<std::uint32_t> &rank) const
 {
-    const std::uint64_t my_seq = seq_[slot];
-    std::uint32_t rank = 0;
+    // Seqs are unique per CU, so a wave's rank (the number of older
+    // resident waves) is its position in seq order. Packing (seq << 16
+    // | slot) sorts by seq and carries the slot along.
+    static thread_local std::vector<std::uint64_t> keys;
+    keys.clear();
     occMask_.forEachSet([&](std::size_t i) {
-        if (seq_[i] < my_seq)
-            ++rank;
+        keys.push_back((seq_[i] << 16) | i);
     });
-    return rank;
+    std::sort(keys.begin(), keys.end());
+    rank.resize(slots.size());
+    for (std::size_t r = 0; r < keys.size(); ++r)
+        rank[keys[r] & 0xffff] = static_cast<std::uint32_t>(r);
 }
 
 std::uint64_t
@@ -308,10 +314,22 @@ ComputeUnit::tryDispatch(CuContext &ctx, Tick now)
             w.stallEnter = now;
             w.barrierEnter = now;
         }
-        --ctx.dispatch.wgUndispatched;
+        // Only this thread writes the count; others may read it.
+        std::atomic_ref<std::uint32_t> left(ctx.dispatch.wgUndispatched);
+        left.store(left.load(std::memory_order_relaxed) - 1,
+                   std::memory_order_relaxed);
         dispatched = true;
     }
     return dispatched;
+}
+
+bool
+ComputeUnit::dispatchWouldStart(const CuContext &ctx) const
+{
+    return ctx.dispatch.curLaunch < ctx.app.launches.size() &&
+        undispatched(ctx.dispatch) > 0 &&
+        freeSlots >=
+        ctx.app.launches[ctx.dispatch.curLaunch].wavesPerWorkgroup;
 }
 
 void
@@ -343,8 +361,10 @@ ComputeUnit::releaseBarrier(std::uint32_t wg_index, Tick now)
     wgs[wg_index].arrived = 0;
 }
 
-void
-ComputeUnit::issue(CuContext &ctx, std::uint32_t slot, Tick now)
+template <bool Private>
+bool
+ComputeUnit::issue(CuContext &ctx, std::uint32_t slot, Tick now,
+                   bool &completed_wg)
 {
     Wavefront &wave = slots[slot];
     const isa::Kernel &kernel = ctx.app.launches[wave.launchIndex];
@@ -395,6 +415,8 @@ ComputeUnit::issue(CuContext &ctx, std::uint32_t slot, Tick now)
             break;
         }
         const std::uint64_t addr = genAddress(kernel, wave, ins);
+        if (Private && !ctx.mem.staysInCu(cuId, addr, is_store))
+            return false;
         const memory::MemResult res =
             ctx.mem.access(cuId, addr, is_store, now, period_);
         PendingMem pm{res.completion, is_store};
@@ -475,55 +497,107 @@ ComputeUnit::issue(CuContext &ctx, std::uint32_t slot, Tick now)
       }
 
       case isa::OpType::EndPgm: {
+        ResidentWg &wg = wgs[wave.wgIndex];
+        if (Private && wg.done + 1 == wg.waveCount)
+            return false;
         commit();
         setWaveState(slot, WaveState::Idle);
-        ResidentWg &wg = wgs[wave.wgIndex];
         ++wg.done;
         if (wg.done == wg.waveCount) {
             wg.valid = false;
             ++ctx.dispatch.wgCompleted;
+            completed_wg = true;
         }
         break;
       }
     }
-
+    return true;
 }
 
 StepResult
 ComputeUnit::step(CuContext &ctx, Tick now)
 {
+    StepCursor cursor;
+    return step(ctx, now, cursor);
+}
+
+StepResult
+ComputeUnit::step(CuContext &ctx, Tick now, StepCursor &cursor)
+{
     StepResult result;
+    advance<false>(ctx, now, cursor, result);
+    return result;
+}
 
-    drainLoadCompletions(now);
-    closeSleep(now);
-    wakeWaves(now);
+bool
+ComputeUnit::stepPrivate(CuContext &ctx, Tick now, StepCursor &cursor,
+                         StepResult &out)
+{
+    out = StepResult{};
+    return advance<true>(ctx, now, cursor, out);
+}
 
-    if (now < freqStallUntil) {
-        result.next = freqStallUntil;
-        return result;
+template <bool Private>
+bool
+ComputeUnit::advance(CuContext &ctx, Tick now, StepCursor &cur,
+                     StepResult &result)
+{
+    using Stage = StepCursor::Stage;
+    // The cursor's fields live in locals while the step runs and are
+    // stored back only when the step parks.
+    Stage stage = cur.stage;
+    std::uint32_t simd = cur.simd;
+    bool issued_any = cur.issuedAny;
+    // A parked step resumes where it stopped: its prologue already ran
+    // at this tick and nothing of this CU changed since.
+    if (stage == Stage::Fresh) {
+        drainLoadCompletions(now);
+        closeSleep(now);
+        wakeWaves(now);
+
+        if (now < freqStallUntil) {
+            result.next = freqStallUntil;
+            return true;
+        }
+        stage = Stage::Dispatch;
     }
 
-    const std::uint32_t completed_before = ctx.dispatch.wgCompleted;
-    const std::uint32_t num_simds = std::max(ctx.cfg.simdsPerCu, 1u);
-
-    // Refill free slots from the dispatcher before issuing.
-    if (freeSlots > 0 && ctx.dispatch.wgUndispatched > 0)
-        tryDispatch(ctx, now);
+    // Refill free slots from the dispatcher before issuing. A private
+    // step only parks when a dispatch would start: with fewer free
+    // slots than a workgroup needs, tryDispatch() changes nothing.
+    if (stage == Stage::Dispatch) {
+        if (freeSlots > 0 && undispatched(ctx.dispatch) > 0) {
+            if (!Private) {
+                tryDispatch(ctx, now);
+            } else if (dispatchWouldStart(ctx)) {
+                cur.stage = Stage::Dispatch;
+                return false;
+            }
+        }
+        simd = 0;
+        issued_any = false;
+    }
 
     // Each SIMD issues at most one instruction this cycle,
     // oldest-ready-first among its resident waves. The cached ready
     // count skips the per-SIMD scans entirely on wake-only steps.
-    bool issued_any = false;
+    const std::uint32_t num_simds = std::max(ctx.cfg.simdsPerCu, 1u);
+    bool completed_wg = false;
     if (numReady > 0) {
-        for (std::uint32_t simd = 0; simd < num_simds; ++simd) {
+        for (; simd < num_simds; ++simd) {
             const int ready = pickReadyWave(simd);
-            if (ready >= 0) {
-                issue(ctx, static_cast<std::uint32_t>(ready), now);
-                issued_any = true;
-                epBusy += period_;
+            if (ready < 0)
+                continue;
+            if (!issue<Private>(ctx, static_cast<std::uint32_t>(ready),
+                                now, completed_wg)) {
+                cur = StepCursor{Stage::Issue, simd, issued_any};
+                return false;
             }
+            issued_any = true;
+            epBusy += period_;
         }
     }
+    cur.stage = Stage::Fresh;
 
     if (issued_any) {
         if (outstandingLoads > 0)
@@ -531,11 +605,11 @@ ComputeUnit::step(CuContext &ctx, Tick now)
         result.next = now + period_;
         // Completing the last workgroup of a launch advances the
         // dispatcher to the next kernel; every CU must be woken.
-        if (ctx.dispatch.wgCompleted != completed_before &&
+        if (completed_wg &&
             ctx.dispatch.curLaunch < ctx.app.launches.size()) {
-            const isa::Kernel &cur =
+            const isa::Kernel &kcur =
                 ctx.app.launches[ctx.dispatch.curLaunch];
-            if (ctx.dispatch.wgCompleted == cur.numWorkgroups) {
+            if (ctx.dispatch.wgCompleted == kcur.numWorkgroups) {
                 ++ctx.dispatch.curLaunch;
                 ctx.dispatch.wgCompleted = 0;
                 if (ctx.dispatch.curLaunch < ctx.app.launches.size()) {
@@ -546,7 +620,7 @@ ComputeUnit::step(CuContext &ctx, Tick now)
                 }
             }
         }
-        return result;
+        return true;
     }
 
     // No ready wave: sleep until the earliest wake, classifying the
@@ -587,7 +661,7 @@ ComputeUnit::step(CuContext &ctx, Tick now)
         panicIf(occMask_.any(),
                 "barrier deadlock: all remaining waves at s_barrier");
         result.next = tickInf;
-        return result;
+        return true;
     }
 
     sleeping = true;
@@ -596,7 +670,7 @@ ComputeUnit::step(CuContext &ctx, Tick now)
     sleepGate = !wake_is_mem ? SleepGate::None
         : (wake_is_store ? SleepGate::Store : SleepGate::Load);
     result.next = wake;
-    return result;
+    return true;
 }
 
 void
@@ -643,6 +717,8 @@ ComputeUnit::harvest(CuContext &ctx, Tick boundary, CuEpochRecord &cu_out,
     cu_out.mem = ctx.mem.activity(cuId);
     cu_out.freq = freq_;
 
+    static thread_local std::vector<std::uint32_t> rank;
+    ageRanks(rank);
     for (std::uint32_t i = 0; i < slots.size(); ++i) {
         Wavefront &w = slots[i];
         const WaveState state = wstate_[i];
@@ -669,7 +745,7 @@ ComputeUnit::harvest(CuContext &ctx, Tick boundary, CuEpochRecord &cu_out,
         rec.committed = w.epCommitted;
         rec.memStall = w.epMemStall;
         rec.barrierStall = w.epBarrierStall;
-        rec.ageRank = state == WaveState::Idle ? 0 : ageRankOf(i);
+        rec.ageRank = state == WaveState::Idle ? 0 : rank[i];
         rec.active = true;
         waves_out.push_back(rec);
 
@@ -779,6 +855,8 @@ void
 ComputeUnit::appendSnapshots(const isa::Application &app,
                              std::vector<WaveSnapshot> &out) const
 {
+    static thread_local std::vector<std::uint32_t> rank;
+    ageRanks(rank);
     for (std::uint32_t i = 0; i < slots.size(); ++i) {
         if (wstate_[i] == WaveState::Idle)
             continue;
@@ -788,9 +866,41 @@ ComputeUnit::appendSnapshots(const isa::Application &app,
         snap.slot = i;
         snap.pc = w.pc;
         snap.pcAddr = app.launches[w.launchIndex].pcAddr(w.pc);
-        snap.ageRank = ageRankOf(i);
+        snap.ageRank = rank[i];
         out.push_back(snap);
     }
+}
+
+std::uint64_t
+ComputeUnit::issuesToEnd(const isa::Application &app,
+                         std::uint32_t slot) const
+{
+    if (wstate_[slot] == WaveState::Idle)
+        return 0;
+    const Wavefront &w = slots[slot];
+    const std::vector<isa::Instruction> &code =
+        app.launches[w.launchIndex].code;
+    const std::size_t end = code.size() - 1;
+    // Branches only jump backwards and s_endpgm is the last
+    // instruction, so the wave issues every instruction in [pc, end]
+    // at least once. The first back-edge at or after pc that jumps to
+    // or before it closes a loop around pc, and only that branch
+    // changes its trip counter (Kernel::validate), so the wave also
+    // repeats the loop body trips - 1 more times.
+    std::uint64_t n = end - w.pc + 1;
+    for (std::size_t b = w.pc; b < end; ++b) {
+        const isa::Instruction &ins = code[b];
+        if (ins.op == isa::OpType::Branch &&
+            static_cast<std::size_t>(ins.target) <= w.pc) {
+            n += static_cast<std::uint64_t>(w.loopTrips[ins.loopId] - 1) *
+                (b - static_cast<std::size_t>(ins.target) + 1);
+            break;
+        }
+    }
+    // A wave waiting at s_barrier has already issued it.
+    if (wstate_[slot] == WaveState::WaitBarrier)
+        --n;
+    return n;
 }
 
 } // namespace pcstall::gpu

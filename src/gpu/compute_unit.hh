@@ -19,6 +19,7 @@
 #ifndef PCSTALL_GPU_COMPUTE_UNIT_HH
 #define PCSTALL_GPU_COMPUTE_UNIT_HH
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -46,6 +47,20 @@ struct DispatchState
     std::uint64_t nextGlobalWaveId = 0;
 };
 
+/**
+ * DispatchState::wgUndispatched, read atomically: a CU team member may
+ * step its CUs privately while another member dispatches
+ * (GpuChip::runUntil). Within a launch the count only falls, so a
+ * stale read can only be too high, which a private step treats as
+ * "may dispatch" and parks on.
+ */
+inline std::uint32_t
+undispatched(DispatchState &d)
+{
+    return std::atomic_ref<std::uint32_t>(d.wgUndispatched)
+        .load(std::memory_order_relaxed);
+}
+
 /** Shared references a ComputeUnit needs while executing. */
 struct CuContext
 {
@@ -67,6 +82,33 @@ struct StepResult
     bool launchFinished = false;
 };
 
+/**
+ * Where a CU step stands. Fresh between steps; a step run by
+ * ComputeUnit::stepPrivate() that stops before its first shared action
+ * stays parked here with the rest of its locals, and a later step()
+ * at the same tick finishes it.
+ */
+struct StepCursor
+{
+    enum class Stage : std::uint8_t
+    {
+        /** No step in progress. */
+        Fresh,
+        /** Prologue done; next: pull workgroups from the dispatcher. */
+        Dispatch,
+        /** Dispatch done; next: issue on SIMD `simd` onwards. */
+        Issue,
+    };
+
+    Stage stage = Stage::Fresh;
+    /** Next SIMD to issue on (Issue stage). */
+    std::uint32_t simd = 0;
+    /** An earlier SIMD of this step already issued (Issue stage). */
+    bool issuedAny = false;
+
+    bool parked() const { return stage != Stage::Fresh; }
+};
+
 /** A workgroup resident on a CU (barrier bookkeeping). */
 struct ResidentWg
 {
@@ -77,8 +119,11 @@ struct ResidentWg
     std::uint32_t done = 0;
 };
 
-/** One compute unit. */
-class ComputeUnit
+/**
+ * One compute unit. Cache-line aligned: a CU team steps neighbouring
+ * CUs on different threads.
+ */
+class alignas(64) ComputeUnit
 {
   public:
     /**
@@ -93,6 +138,40 @@ class ComputeUnit
      * at most one instruction, or compute the next wake time.
      */
     StepResult step(CuContext &ctx, Tick now);
+
+    /**
+     * step(), finishing first the step @p cursor holds parked at
+     * @p now, if any. @p cursor is Fresh on return.
+     */
+    StepResult step(CuContext &ctx, Tick now, StepCursor &cursor);
+
+    /**
+     * Run step() but stop right before its first action on state that
+     * other CUs share: an access that reaches the L2 or DRAM
+     * (MemorySystem::staysInCu), a workgroup dispatch, or the
+     * s_endpgm that completes a workgroup. Returns true with @p out
+     * set when the step finished; false when it parked in @p cursor
+     * (nothing shared was touched, ctx.dispatch was only read). CUs
+     * may run this concurrently, each on its own CU.
+     */
+    bool stepPrivate(CuContext &ctx, Tick now, StepCursor &cursor,
+                     StepResult &out);
+
+    /**
+     * A lower bound on the instructions the wave in @p slot must still
+     * issue itself before (and including) its s_endpgm; 0 for an empty
+     * slot. Each issue takes one CU step: a wave issues at most once
+     * per step, and a barrier release only completes a barrier the
+     * wave already issued.
+     */
+    std::uint64_t issuesToEnd(const isa::Application &app,
+                              std::uint32_t slot) const;
+
+    /** Number of wave slots. */
+    std::uint32_t slotCount() const
+    {
+        return static_cast<std::uint32_t>(slots.size());
+    }
 
     /**
      * Close all accrual intervals at @p boundary, emit this CU's and
@@ -141,10 +220,25 @@ class ComputeUnit
     void wakeWaves(Tick now);
     /** Close an in-progress CU sleep interval. */
     void closeSleep(Tick now);
-    /** Issue slot @p slot's next instruction. */
-    void issue(CuContext &ctx, std::uint32_t slot, Tick now);
+    /**
+     * The body of step()/stepPrivate(). With @p Private, returns false
+     * (parked in @p cur) before the first shared action.
+     */
+    template <bool Private>
+    bool advance(CuContext &ctx, Tick now, StepCursor &cur,
+                 StepResult &result);
+    /**
+     * Issue slot @p slot's next instruction; sets @p completed_wg when
+     * it completes its workgroup. With @p Private, returns false and
+     * changes nothing when the instruction would touch shared state.
+     */
+    template <bool Private>
+    bool issue(CuContext &ctx, std::uint32_t slot, Tick now,
+               bool &completed_wg);
     /** Try to pull new workgroups from the dispatcher. */
     bool tryDispatch(CuContext &ctx, Tick now);
+    /** True when tryDispatch() would hand this CU a workgroup. */
+    bool dispatchWouldStart(const CuContext &ctx) const;
     /** Release every wave of workgroup @p wg_index blocked at barrier. */
     void releaseBarrier(std::uint32_t wg_index, Tick now);
     /** Compute the address of a vector memory access. */
@@ -153,8 +247,11 @@ class ComputeUnit
                              const isa::Instruction &ins) const;
     /** Oldest ready wave on SIMD @p simd (-1 when none). */
     int pickReadyWave(std::uint32_t simd) const;
-    /** Age rank (0 = oldest) of slot @p slot among resident waves. */
-    std::uint32_t ageRankOf(std::uint32_t slot) const;
+    /**
+     * Age rank (0 = oldest) of every resident wave, indexed by slot:
+     * one sort of the occupied (seq, slot) pairs per CU.
+     */
+    void ageRanks(std::vector<std::uint32_t> &rank) const;
 
     /**
      * Move slot @p i to state @p ns, maintaining the ready/pending/

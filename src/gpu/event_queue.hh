@@ -53,6 +53,23 @@ class TournamentQueue
 
     bool empty() const { return tree_[1] == kEmpty; }
 
+    /** Key of an empty queue; compares above every packed key. */
+    static constexpr std::uint64_t noKey =
+        std::numeric_limits<std::uint64_t>::max();
+
+    /**
+     * The packed (tick, id) key schedule(id, t) files: keys compare
+     * like (tick, id) pairs. Valid for ticks in [0, maxTick()].
+     */
+    std::uint64_t
+    key(Tick t, std::uint32_t id) const
+    {
+        return (static_cast<std::uint64_t>(t) << idBits_) | id;
+    }
+
+    /** Key of the smallest scheduled entry (noKey when empty). */
+    std::uint64_t minKey() const { return tree_[1]; }
+
     /** Largest tick schedule() accepts after reset(n) (key packing). */
     Tick maxTick() const { return static_cast<Tick>(maxTick_); }
 
@@ -66,7 +83,7 @@ class TournamentQueue
         if (static_cast<std::uint64_t>(t) > maxTick_) [[unlikely]]
             fatal("event queue: tick " + std::to_string(t) +
                   " outside [0, " + std::to_string(maxTick_) + "]");
-        replay(id, (static_cast<std::uint64_t>(t) << idBits_) | id);
+        replay(id, key(t, id));
     }
 
     /**
@@ -87,8 +104,7 @@ class TournamentQueue
 
   private:
     /** Key of an unscheduled leaf; sorts after every packed key. */
-    static constexpr std::uint64_t kEmpty =
-        std::numeric_limits<std::uint64_t>::max();
+    static constexpr std::uint64_t kEmpty = noKey;
 
     /** Set @p id's leaf to @p key and recompute its path's winners. */
     void

@@ -18,6 +18,7 @@
 
 #include "common/types.hh"
 #include "gpu/compute_unit.hh"
+#include "gpu/cu_team.hh"
 #include "gpu/epoch_stats.hh"
 #include "gpu/gpu_config.hh"
 #include "isa/kernel.hh"
@@ -46,8 +47,20 @@ class GpuChip
     /**
      * Advance simulation to @p until (an epoch boundary). Returns
      * true when the application finished at or before @p until.
+     *
+     * With a @p team, member m of an M-thread team owns CUs m, m + M,
+     * ... and steps them in its own (tick, CU id) order, privately
+     * (ComputeUnit::stepPrivate), until a CU parks before a shared
+     * action. A member performs a parked action only once its own
+     * queue and every other member's published clock (the key of its
+     * earliest unfinished step) are past the action's (tick, CU id);
+     * meanwhile it keeps stepping its other CUs. So every shared
+     * action happens in the serial loop's global order and each CU
+     * takes the same steps, and the result is identical for any team
+     * size. Windows in which a kernel launch could end (the broadcast
+     * that wakes every CU) run on the serial loop.
      */
-    bool runUntil(Tick until);
+    bool runUntil(Tick until, CuTeam *team = nullptr);
 
     /**
      * Harvest per-CU and per-wave statistics for the epoch that ended
@@ -101,7 +114,38 @@ class GpuChip
     const isa::Application &application() const { return *app; }
 
   private:
+    /** A resident wave that bounds when the current launch can end. */
+    struct Witness
+    {
+        std::uint32_t cu = 0;
+        std::uint32_t slot = 0;
+        /** Launch of the last full search, and when to search again
+         *  if the launch is still running. */
+        std::uint32_t launch = ~0u;
+        Tick rescanAt = 0;
+    };
+
     CuContext makeContext();
+    /**
+     * Step CUs in (tick, CU id) order until every pending activation
+     * is at or after @p hi.
+     */
+    void runSerial(CuContext &ctx, Tick hi);
+    /** runUntil() on a team. */
+    void runTeam(CuContext &ctx, Tick until, CuTeam &team);
+    /**
+     * Let the team step every CU up to @p end, which no launch end
+     * may precede.
+     */
+    void runMembers(CuContext &ctx, Tick end, CuTeam &team);
+    /**
+     * A tick before which the current kernel launch cannot end, for
+     * activations no earlier than @p lo: some resident wave needs
+     * that many issues to reach its s_endpgm, one per CU cycle at
+     * most. @p w caches the wave that showed it; a search for a
+     * better one stops at @p until.
+     */
+    Tick launchHorizon(Tick lo, Tick until, Witness &w) const;
 
     GpuConfig cfg;
     std::shared_ptr<const isa::Application> app;
@@ -110,6 +154,13 @@ class GpuChip
     std::vector<ComputeUnit> cus;
     Tick curTick = 0;
 };
+
+/**
+ * Shortest window a team runs in parallel: near a launch end, team
+ * runUntil() advances on the serial loop in windows of this length
+ * until a new launch makes a long window safe again.
+ */
+inline constexpr Tick teamWindow = 8 * clockPeriod(1'700 * freqMHz);
 
 /**
  * V/f transition latency the paper assumes for a given epoch length:

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -46,6 +47,7 @@ Kernel::validate() const
     fatalIf(wavesPerWorkgroup == 0 || numWorkgroups == 0,
             "kernel '" + name + "' has an empty launch grid");
 
+    std::vector<bool> loop_closed(loops.size(), false);
     for (std::size_t i = 0; i < code.size(); ++i) {
         const Instruction &ins = code[i];
         if (ins.op == OpType::Branch) {
@@ -56,6 +58,11 @@ Kernel::validate() const
                     "kernel '" + name + "' has a forward loop back-edge");
             fatalIf(ins.loopId >= loops.size(),
                     "kernel '" + name + "' branch references unknown loop");
+            // One trip counter per branch: GpuChip's launch-end bound
+            // relies on only a loop's own back-edge changing it.
+            fatalIf(loop_closed[ins.loopId],
+                    "kernel '" + name + "' closes a loop twice");
+            loop_closed[ins.loopId] = true;
         }
         if (isVMem(ins.op)) {
             fatalIf(ins.mem.regionId >= regions.size(),

@@ -39,9 +39,12 @@ MemorySystem::MemorySystem(const MemConfig &config) : cfg(config)
     fatalIf(cfg.l2SizeBytes % cfg.l2Banks != 0,
             "L2 size must divide evenly across banks");
 
-    l1s.reserve(cfg.numCus);
-    for (std::uint32_t cu = 0; cu < cfg.numCus; ++cu)
-        l1s.emplace_back(cfg.l1SizeBytes, cfg.lineBytes, cfg.l1Ways);
+    cuSide.reserve(cfg.numCus);
+    for (std::uint32_t cu = 0; cu < cfg.numCus; ++cu) {
+        cuSide.push_back(CuSide{
+            CacheModel(cfg.l1SizeBytes, cfg.lineBytes, cfg.l1Ways),
+            MemActivity{}, ~0ULL});
+    }
 
     const std::uint64_t slice_size = cfg.l2SizeBytes / cfg.l2Banks;
     l2Slices.reserve(cfg.l2Banks);
@@ -50,8 +53,6 @@ MemorySystem::MemorySystem(const MemConfig &config) : cfg(config)
 
     bankFree.assign(cfg.l2Banks, 0);
     channelFree.assign(cfg.dramChannels, 0);
-    cuActivity.assign(cfg.numCus, MemActivity{});
-    lastStoreLine.assign(cfg.numCus, ~0ULL);
     l2Period = clockPeriod(cfg.l2Freq);
 }
 
@@ -73,7 +74,8 @@ MemorySystem::access(std::uint32_t cu_id, std::uint64_t addr, bool is_store,
                      Tick now, Tick cu_period)
 {
     panicIf(cu_id >= cfg.numCus, "memory access from unknown CU");
-    MemActivity &act = cuActivity[cu_id];
+    CuSide &side = cuSide[cu_id];
+    MemActivity &act = side.activity;
     MemResult result;
 
     const std::uint64_t line_addr = addr & ~static_cast<std::uint64_t>(
@@ -85,15 +87,15 @@ MemorySystem::access(std::uint32_t cu_id, std::uint64_t addr, bool is_store,
         // waitcnt purposes) once the bank accepts it. Back-to-back
         // stores to the same line merge in the L1 write buffer.
         ++act.stores;
-        if (cfg.storeCombining && lastStoreLine[cu_id] == line_addr) {
+        if (cfg.storeCombining && side.lastStoreLine == line_addr) {
             // Absorbed by the write buffer in a single CU cycle.
             ++act.storesCombined;
             result.completion = now + cu_period;
             result.servicedBy = ServiceLevel::L1;
             return result;
         }
-        lastStoreLine[cu_id] = line_addr;
-        l1s[cu_id].probe(line_addr);
+        side.lastStoreLine = line_addr;
+        side.l1.probe(line_addr);
 
         const Tick arrive = now + cfg.l1MissOverhead;
         const std::uint32_t bank = bankOf(line_addr);
@@ -118,7 +120,7 @@ MemorySystem::access(std::uint32_t cu_id, std::uint64_t addr, bool is_store,
     }
 
     // Loads: L1 in the CU's own clock domain.
-    const bool l1_hit = l1s[cu_id].access(line_addr, true);
+    const bool l1_hit = side.l1.access(line_addr, true);
     if (l1_hit) {
         ++act.l1Hits;
         result.completion = now + cfg.l1HitCycles * cu_period;
@@ -151,25 +153,39 @@ MemorySystem::access(std::uint32_t cu_id, std::uint64_t addr, bool is_store,
     return result;
 }
 
+bool
+MemorySystem::staysInCu(std::uint32_t cu_id, std::uint64_t addr,
+                        bool is_store) const
+{
+    const std::uint64_t line_addr = addr & ~static_cast<std::uint64_t>(
+        cfg.lineBytes - 1);
+    if (is_store)
+        return cfg.storeCombining &&
+            cuSide[cu_id].lastStoreLine == line_addr;
+    return cuSide[cu_id].l1.probe(line_addr);
+}
+
 void
 MemorySystem::resetActivity()
 {
-    std::fill(cuActivity.begin(), cuActivity.end(), MemActivity{});
+    for (CuSide &side : cuSide)
+        side.activity = MemActivity{};
 }
 
 void
 MemorySystem::fingerprint(std::uint64_t &h) const
 {
     auto mix = [&h](std::uint64_t v) { h = hashCombine(h, v); };
-    for (const CacheModel &l1 : l1s)
-        l1.fingerprint(h);
+    for (const CuSide &side : cuSide)
+        side.l1.fingerprint(h);
     for (const CacheModel &slice : l2Slices)
         slice.fingerprint(h);
     for (Tick t : bankFree)
         mix(static_cast<std::uint64_t>(t));
     for (Tick t : channelFree)
         mix(static_cast<std::uint64_t>(t));
-    for (const MemActivity &act : cuActivity) {
+    for (const CuSide &side : cuSide) {
+        const MemActivity &act = side.activity;
         mix(act.l1Hits);
         mix(act.l1Misses);
         mix(act.l2Hits);
@@ -177,8 +193,8 @@ MemorySystem::fingerprint(std::uint64_t &h) const
         mix(act.stores);
         mix(act.storesCombined);
     }
-    for (std::uint64_t line : lastStoreLine)
-        mix(line);
+    for (const CuSide &side : cuSide)
+        mix(side.lastStoreLine);
 }
 
 } // namespace pcstall::memory

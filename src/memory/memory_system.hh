@@ -121,19 +121,33 @@ class MemorySystem
     MemResult access(std::uint32_t cu_id, std::uint64_t addr, bool is_store,
                      Tick now, Tick cu_period);
 
+    /**
+     * True when access(@p cu_id, @p addr, @p is_store, ...) would
+     * touch only CU @p cu_id's own state (its L1, write buffer and
+     * activity counters): a load that hits the L1, or a store the
+     * write buffer combines. Pure. Every other access reaches the
+     * shared L2 banks and DRAM channels, whose queue heads depend on
+     * the global order of requests.
+     */
+    bool staysInCu(std::uint32_t cu_id, std::uint64_t addr,
+                   bool is_store) const;
+
     const MemConfig &config() const { return cfg; }
 
     /** Activity accumulated for a CU since the last reset. */
     const MemActivity &activity(std::uint32_t cu_id) const
     {
-        return cuActivity[cu_id];
+        return cuSide[cu_id].activity;
     }
 
     /** Reset all per-CU activity counters (per-epoch harvesting). */
     void resetActivity();
 
     /** Direct access to a CU's L1 (tests). */
-    const CacheModel &l1(std::uint32_t cu_id) const { return l1s[cu_id]; }
+    const CacheModel &l1(std::uint32_t cu_id) const
+    {
+        return cuSide[cu_id].l1;
+    }
 
     /** Direct access to an L2 bank slice (tests). */
     const CacheModel &l2Bank(std::uint32_t bank) const
@@ -149,16 +163,27 @@ class MemorySystem
     std::uint32_t bankOf(std::uint64_t addr) const;
     std::uint32_t channelOf(std::uint64_t addr) const;
 
+    /**
+     * Everything one CU's accesses touch besides the shared levels,
+     * on cache lines of its own: a CU team steps CUs on different
+     * threads, and neighbouring CUs must not share a written line.
+     */
+    struct alignas(64) CuSide
+    {
+        CacheModel l1;
+        MemActivity activity;
+        /** Line address of the CU's most recent store (write
+         *  combining). */
+        std::uint64_t lastStoreLine = ~0ULL;
+    };
+
     MemConfig cfg;
-    std::vector<CacheModel> l1s;
+    std::vector<CuSide> cuSide;
     std::vector<CacheModel> l2Slices;
     /** Earliest tick each L2 bank can accept the next request. */
     std::vector<Tick> bankFree;
     /** Earliest tick each DRAM channel can start the next transfer. */
     std::vector<Tick> channelFree;
-    std::vector<MemActivity> cuActivity;
-    /** Line address of each CU's most recent store (write combining). */
-    std::vector<std::uint64_t> lastStoreLine;
     Tick l2Period;
 };
 

@@ -6,6 +6,7 @@
 #include "common/logging.hh"
 #include "common/stats_util.hh"
 #include "faults/fault_injector.hh"
+#include "gpu/cu_team.hh"
 #include "obs/context.hh"
 #include "oracle/fork_pre_execute.hh"
 #include "oracle/snapshot_pool.hh"
@@ -66,6 +67,26 @@ validateRunConfig(const RunConfig &config)
     return "";
 }
 
+namespace
+{
+
+/** Add a run's CU-team counters to the current metrics registry. */
+void
+exportTeamStats(const gpu::TeamStats &stats)
+{
+    obs::Registry &registry = obs::reg();
+    auto add = [&](const char *name, std::uint64_t value) {
+        registry.counter(name, obs::MetricKind::Timing).add(value);
+    };
+    add("gpu.team.windows_parallel", stats.windowsParallel);
+    add("gpu.team.windows_serial", stats.windowsSerial);
+    add("gpu.team.parked_steps", stats.parkedSteps);
+    add("gpu.team.private_steps", stats.privateSteps);
+    add("gpu.team.barrier_wait_ns", stats.barrierWaitNs);
+}
+
+} // namespace
+
 ExperimentDriver::ExperimentDriver(const RunConfig &config)
     : cfg(config), vfTable(power::VfTable::paperTable()),
       powerModel(config.power), nominalIdx(0)
@@ -105,6 +126,14 @@ ExperimentDriver::run(std::shared_ptr<const isa::Application> app,
     if (cfg.oracleThreads > 1 && need != dvfs::SweepNeed::None)
         sweep_exec = std::make_unique<ParallelExecutor>(cfg.oracleThreads);
     sweep_opts.executor = sweep_exec.get();
+
+    // The main chip's CU team (never the oracle's forked chips, whose
+    // sweeps already run in parallel across samples).
+    std::unique_ptr<gpu::CuTeam> team;
+    const unsigned team_size =
+        gpu::CuTeam::sizeFor(cfg.cuThreads, gpu_cfg.numCus);
+    if (team_size > 1)
+        team = std::make_unique<gpu::CuTeam>(team_size);
 
     faults::FaultInjector injector(cfg.faults);
     // All metric arithmetic lives in the ledger, shared with the trace
@@ -157,7 +186,7 @@ ExperimentDriver::run(std::shared_ptr<const isa::Application> app,
         const Tick epoch_end = epoch_start + cfg.epochLen;
         {
             const obs::ScopedTimer timer(nullptr, &simulate_ns);
-            done = chip.runUntil(epoch_end);
+            done = chip.runUntil(epoch_end, team.get());
             chip.harvestEpoch(epoch_start, record);
         }
         ++result.epochs;
@@ -260,6 +289,7 @@ ExperimentDriver::run(std::shared_ptr<const isa::Application> app,
                 " hit the simulation wall at " +
                 std::to_string(cfg.maxSimTime / tickUs) + " us");
     }
+    exportTeamStats(team ? team->stats : gpu::TeamStats{});
     ledger.finalize(result, done, chip.lastCommitTick(),
                     chip.totalCommitted(), injector, controller);
     if (observer)

@@ -71,6 +71,14 @@ struct RunConfig
      *  serial; results are independent of the thread count). */
     unsigned oracleThreads = 1;
     /**
+     * Threads stepping the simulated chip's CUs inside each epoch
+     * (gpu::CuTeam; <= 1 = the serial loop). Capped at one thread per
+     * gpu::CuTeam::minCusPerThread CUs, so small chips keep the serial
+     * loop; oracle sweeps always step their chips serially. Results
+     * are independent of the thread count.
+     */
+    unsigned cuThreads = 1;
+    /**
      * Cooperative cancellation flag (not owned). When non-null and
      * set, the run stops at the next epoch boundary by throwing
      * FatalError - the sweep watchdog's --cell-timeout enforcement

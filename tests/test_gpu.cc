@@ -4,10 +4,17 @@
 
 #include "expect_fatal.hh"
 
+#include <atomic>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hh"
+#include "gpu/cu_team.hh"
 #include "gpu/gpu_chip.hh"
 #include "isa/kernel_builder.hh"
 #include "power/vf_table.hh"
@@ -515,7 +522,7 @@ recordDigest(const EpochRecord &r)
     return h;
 }
 
-/** Per-epoch golden digests of one 64-CU run. */
+/** Per-epoch digests of one 64-CU run. */
 struct GoldenRun
 {
     const char *workload;
@@ -524,22 +531,23 @@ struct GoldenRun
 };
 
 /**
- * Run @p golden's workload on the paper's 64-CU chip (scale 0.25,
- * seed 42) in 1 us epochs, giving every CU a different V/f state each
- * epoch from a fixed pattern so the CUs fall out of lockstep and tie
- * at shared ticks, and compare each epoch's state fingerprint and
- * record digest against @p golden. Returns the launch being
- * dispatched at the end.
+ * Run @p workload on the paper's 64-CU chip (scale 0.25, seed 42) for
+ * @p epochs 1 us epochs, on @p team when non-null, giving every
+ * CU a different V/f state each epoch from a fixed pattern so the CUs
+ * fall out of lockstep and tie at shared ticks. Returns each epoch's
+ * state fingerprint and record digest; @p launch_out receives the
+ * launch being dispatched at the end.
  */
-std::uint32_t
-checkGoldenRun(const GoldenRun &golden)
+GoldenRun
+runDigests(const char *workload, std::size_t epochs, CuTeam *team,
+           std::uint32_t *launch_out = nullptr)
 {
     workloads::WorkloadParams params;
     params.numCus = 64;
     params.scale = 0.25;
     params.seed = 42;
     auto app = std::make_shared<const isa::Application>(
-        workloads::makeWorkload(golden.workload, params));
+        workloads::makeWorkload(workload, params));
     GpuConfig cfg;
     power::PowerParams power;
     sim::scaleToCus(cfg, power, 64);
@@ -547,22 +555,38 @@ checkGoldenRun(const GoldenRun &golden)
 
     const power::VfTable table = power::VfTable::paperTable();
     const Tick latency = transitionLatencyFor(tickUs);
-    std::vector<std::uint64_t> fps, records;
+    GoldenRun run{workload, {}, {}};
     EpochRecord record;
-    for (std::size_t e = 0; e < golden.fingerprints.size(); ++e) {
+    for (std::size_t e = 0; e < epochs; ++e) {
         for (std::uint32_t cu = 0; cu < cfg.numCus; ++cu) {
             const std::size_t s = (cu * 5 + e * 3) % table.numStates();
             chip.setCuFrequency(cu, table.state(s).freq, latency);
         }
         const Tick start = chip.now();
-        chip.runUntil(start + tickUs);
+        chip.runUntil(start + tickUs, team);
         chip.harvestEpoch(start, record);
-        fps.push_back(chip.stateFingerprint());
-        records.push_back(recordDigest(record));
+        run.fingerprints.push_back(chip.stateFingerprint());
+        run.records.push_back(recordDigest(record));
     }
-    EXPECT_EQ(fps, golden.fingerprints) << golden.workload;
-    EXPECT_EQ(records, golden.records) << golden.workload;
-    return chip.launchIndex();
+    if (launch_out != nullptr)
+        *launch_out = chip.launchIndex();
+    return run;
+}
+
+/**
+ * Compare each epoch's state fingerprint and record digest against
+ * @p golden, on the serial loop and on @p team. Returns the launch
+ * being dispatched at the end.
+ */
+std::uint32_t
+checkGoldenRun(const GoldenRun &golden, CuTeam *team)
+{
+    std::uint32_t launch = 0;
+    const GoldenRun run = runDigests(
+        golden.workload, golden.fingerprints.size(), team, &launch);
+    EXPECT_EQ(run.fingerprints, golden.fingerprints) << golden.workload;
+    EXPECT_EQ(run.records, golden.records) << golden.workload;
+    return launch;
 }
 
 } // namespace
@@ -629,8 +653,164 @@ TEST(GpuChip, EventOrderIsPinnedAt64Cus)
           0x1927cf287dd5e7c1ULL, 0x91ea43fd4e4d2b86ULL, 0xe3e2a1af3454e67cULL,
           0x907346f43e7b6aecULL, 0xf11703997c2b83daULL, 0xfc7ad2560d480accULL,
           0xf9f352fb66c8d1a4ULL, 0xa6faca6cf4d6778eULL}};
-    EXPECT_GE(checkGoldenRun(comd), 1u);
-    EXPECT_GE(checkGoldenRun(xsbench), 1u);
+    EXPECT_GE(checkGoldenRun(comd, nullptr), 1u);
+    EXPECT_GE(checkGoldenRun(xsbench, nullptr), 1u);
+    // The same order when four threads step the CUs.
+    CuTeam team(4);
+    EXPECT_GE(checkGoldenRun(comd, &team), 1u);
+    EXPECT_GE(checkGoldenRun(xsbench, &team), 1u);
+    EXPECT_GT(team.stats.parkedSteps, 0u);
+    EXPECT_GT(team.stats.privateSteps, team.stats.parkedSteps);
+}
+
+namespace
+{
+
+/** A kernel whose launch holds @p workgroups of 4 waves. */
+std::shared_ptr<const isa::Application>
+shortKernelApp(std::uint32_t workgroups, std::uint32_t launches,
+               std::uint32_t trips)
+{
+    isa::KernelBuilder b("short");
+    const auto r = b.region("data", 1 << 20);
+    b.grid(workgroups, 4);
+    b.loop(trips);
+    b.load(r, isa::AccessPattern::Streaming, 16);
+    b.valu(2, 2);
+    b.waitcnt(0);
+    b.endLoop();
+    auto app = std::make_shared<isa::Application>();
+    app->name = "short_app";
+    const isa::Kernel k = b.build();
+    for (std::uint32_t i = 0; i < launches; ++i)
+        app->launches.push_back(k);
+    app->assignCodeBases();
+    return app;
+}
+
+/**
+ * Run @p app to completion in 1 us epochs with the golden test's V/f
+ * pattern, on @p team when non-null; return per-epoch digests.
+ */
+GoldenRun
+runAppDigests(const std::shared_ptr<const isa::Application> &app,
+              const GpuConfig &cfg, CuTeam *team)
+{
+    GpuChip chip(cfg, app);
+    const power::VfTable table = power::VfTable::paperTable();
+    GoldenRun run{"synthetic", {}, {}};
+    EpochRecord record;
+    for (std::size_t e = 0; e < 2000; ++e) {
+        for (std::uint32_t cu = 0; cu < cfg.numCus; ++cu) {
+            const std::size_t s = (cu * 5 + e * 3) % table.numStates();
+            chip.setCuFrequency(cu, table.state(s).freq,
+                                transitionLatencyFor(tickUs));
+        }
+        const Tick start = chip.now();
+        const bool done = chip.runUntil(start + tickUs, team);
+        chip.harvestEpoch(start, record);
+        run.fingerprints.push_back(chip.stateFingerprint());
+        run.records.push_back(recordDigest(record));
+        if (done)
+            break;
+    }
+    return run;
+}
+
+/** A 64-CU workload and a team size. */
+using TeamCase = std::tuple<const char *, unsigned>;
+
+class TeamDeterminism : public ::testing::TestWithParam<TeamCase>
+{
+};
+
+} // namespace
+
+TEST_P(TeamDeterminism, MatchesTheSerialLoopEveryEpoch)
+{
+    // 60 us covers several launch boundaries of every workload here:
+    // lulesh's 27 launches, BwdPool's uniform waves (many workgroups
+    // finish together) and hacc's 8-wave workgroups.
+    const auto [workload, threads] = GetParam();
+    const GoldenRun serial = runDigests(workload, 60, nullptr);
+    CuTeam team(threads);
+    const GoldenRun parallel = runDigests(workload, 60, &team);
+    EXPECT_EQ(parallel.fingerprints, serial.fingerprints);
+    EXPECT_EQ(parallel.records, serial.records);
+    EXPECT_GT(team.stats.windowsParallel, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, TeamDeterminism,
+    ::testing::Combine(::testing::Values("comd", "xsbench", "lulesh",
+                                         "BwdPool", "hacc"),
+                       ::testing::Values(1u, 2u, 4u)),
+    [](const ::testing::TestParamInfo<TeamCase> &info) {
+        return std::string(std::get<0>(info.param)) + "_" +
+            std::to_string(std::get<1>(info.param)) + "threads";
+    });
+
+TEST(GpuTeam, DispatchParksWhenWorkgroupsOutnumberSlots)
+{
+    // 8 CUs x 8 slots hold 16 four-wave workgroups; 300 queue up, so
+    // CUs keep pulling workgroups (a shared action) mid-window.
+    GpuConfig cfg = smallGpu(8);
+    const auto app = shortKernelApp(300, 1, 6);
+    CuTeam team(2);
+    const GoldenRun serial = runAppDigests(app, cfg, nullptr);
+    const GoldenRun parallel = runAppDigests(app, cfg, &team);
+    EXPECT_EQ(parallel.fingerprints, serial.fingerprints);
+    EXPECT_EQ(parallel.records, serial.records);
+    EXPECT_GT(team.stats.windowsParallel, 0u);
+    EXPECT_GT(team.stats.parkedSteps, 0u);
+}
+
+TEST(GpuTeam, LaunchEndsFallBackToTheSerialLoop)
+{
+    // Two-trip workgroups finish within one team window, so no wave
+    // ever proves the launch cannot end: every window is serial, and
+    // launch ends wake every CU exactly as on the serial loop.
+    GpuConfig cfg = smallGpu(8);
+    const auto app = shortKernelApp(16, 12, 2);
+    CuTeam team(4);
+    const GoldenRun serial = runAppDigests(app, cfg, nullptr);
+    const GoldenRun parallel = runAppDigests(app, cfg, &team);
+    EXPECT_EQ(parallel.fingerprints, serial.fingerprints);
+    EXPECT_EQ(parallel.records, serial.records);
+    EXPECT_GT(team.stats.windowsSerial, 0u);
+}
+
+TEST(GpuTeam, WorkerFailureSurfacesOnTheCallerLowestMemberFirst)
+{
+    // GpuChip::runUntil rethrows a failed step's FatalError the same
+    // way, choosing the lowest failing CU id.
+    CuTeam team(4);
+    std::mutex mutex;
+    std::set<std::thread::id> threads;
+    auto fail_some = [&](unsigned m) {
+        {
+            const std::lock_guard<std::mutex> lock(mutex);
+            threads.insert(std::this_thread::get_id());
+        }
+        if (m == 1 || m == 3)
+            fatal("member " + std::to_string(m) + " failed");
+    };
+    EXPECT_FATAL(team.forEachMember(fail_some), "member 1 failed");
+    EXPECT_EQ(threads.size(), 4u);
+    EXPECT_EQ(threads.count(std::this_thread::get_id()), 1u);
+    // The team stays usable after a failure.
+    std::atomic<unsigned> ran{0};
+    auto count = [&](unsigned) { ran.fetch_add(1); };
+    team.forEachMember(count);
+    EXPECT_EQ(ran.load(), 4u);
+}
+
+TEST(GpuTeam, SizeKeepsSmallChipsSerial)
+{
+    EXPECT_EQ(CuTeam::sizeFor(4, 64), 4u);
+    EXPECT_EQ(CuTeam::sizeFor(8, 64), 4u);
+    EXPECT_EQ(CuTeam::sizeFor(4, 32), 2u);
+    EXPECT_LE(CuTeam::sizeFor(4, 8), 1u);
 }
 
 using GpuDeath = ::testing::Test;

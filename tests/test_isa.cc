@@ -153,6 +153,19 @@ TEST(KernelDeath, BuildWithOpenLoopDies)
     EXPECT_FATAL(b.build(), "unclosed");
 }
 
+TEST(KernelDeath, ValidateRejectsLoopClosedTwice)
+{
+    KernelBuilder b("twice");
+    b.loop(3);
+    b.valu(1, 1);
+    b.endLoop();
+    Kernel k = b.build();
+    // A second back-edge reusing loop 0's trip counter.
+    Instruction back = k.code[1];
+    k.code.insert(k.code.end() - 1, back);
+    EXPECT_FATAL(k.validate(), "closes a loop twice");
+}
+
 TEST(KernelDeath, EndLoopWithoutLoopDies)
 {
     KernelBuilder b("bad");

@@ -99,6 +99,30 @@ TEST(MemorySystem, L1HitIsFastAndScalesWithCuClock)
     EXPECT_GT(hit_slow.completion, hit_fast.completion);
 }
 
+TEST(MemorySystem, StaysInCuOnlyForL1HitsAndCombinedStores)
+{
+    MemorySystem mem(smallConfig());
+    const Tick period = clockPeriod(1'700 * freqMHz);
+    EXPECT_FALSE(mem.staysInCu(0, 0x100, false)); // cold L1
+    mem.access(0, 0x100, false, 0, period);
+    EXPECT_TRUE(mem.staysInCu(0, 0x100, false));
+    EXPECT_TRUE(mem.staysInCu(0, 0x104, false));  // same line
+    EXPECT_FALSE(mem.staysInCu(1, 0x100, false)); // the other CU's L1
+
+    EXPECT_FALSE(mem.staysInCu(0, 0x2000, true));
+    mem.access(0, 0x2000, true, 0, period);
+    EXPECT_TRUE(mem.staysInCu(0, 0x2010, true));  // combines
+    EXPECT_FALSE(mem.staysInCu(0, 0x2040, true)); // next line
+    // The predicate is pure: asking changes no state.
+    std::uint64_t before = 0;
+    mem.fingerprint(before);
+    (void)mem.staysInCu(0, 0x100, false);
+    (void)mem.staysInCu(0, 0x2040, true);
+    std::uint64_t after = 0;
+    mem.fingerprint(after);
+    EXPECT_EQ(before, after);
+}
+
 TEST(MemorySystem, MissGoesToL2ThenDram)
 {
     MemorySystem mem(smallConfig());
