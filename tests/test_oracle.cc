@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
+#include <vector>
 
+#include "common/rng.hh"
 #include "gpu/gpu_chip.hh"
 #include "isa/kernel_builder.hh"
 #include "oracle/fork_pre_execute.hh"
 #include "oracle/oracle_controllers.hh"
 #include "sim/experiment.hh"
+#include "workloads/workloads.hh"
 
 using namespace pcstall;
 using namespace pcstall::oracle;
@@ -267,4 +271,92 @@ TEST(ForkPreExecute, DomainSensitivityFitExposesIntercept)
     const double at_nominal = fit.intercept + fit.sensitivity * 1.7;
     EXPECT_NEAR(at_nominal, est.domainInstr[0][4],
                 0.1 * est.domainInstr[0][4]);
+}
+
+namespace
+{
+
+/**
+ * Run @p workload on an 8-CU chip (40 wave slots, scale 0.25, seed
+ * 42) for @p epochs 1 us epochs and digest, at each epoch boundary,
+ * the bit patterns of forkPreExecuteSweep's domainInstr matrix and of
+ * every wave fit. Between sweeps each CU runs at a different V/f
+ * state from a fixed pattern, so the CUs fall out of lockstep.
+ */
+std::vector<std::uint64_t>
+sweepDigests(const char *workload, std::size_t epochs)
+{
+    workloads::WorkloadParams params;
+    params.numCus = 8;
+    params.scale = 0.25;
+    params.seed = 42;
+    auto app = std::make_shared<const isa::Application>(
+        workloads::makeWorkload(workload, params));
+    gpu::GpuConfig cfg;
+    power::PowerParams power;
+    sim::scaleToCus(cfg, power, 8);
+    cfg.waveSlotsPerCu = 40;
+    gpu::GpuChip chip(cfg, app);
+
+    const dvfs::DomainMap domains(8, 1);
+    const power::VfTable table = power::VfTable::paperTable();
+    const Tick latency = gpu::transitionLatencyFor(tickUs);
+    std::vector<std::uint64_t> digests;
+    for (std::size_t e = 0; e < epochs; ++e) {
+        const auto est = forkPreExecuteSweep(chip, domains, table, tickUs);
+        std::uint64_t h = 0xCBF29CE484222325ULL;
+        auto mix = [&h](std::uint64_t v) { h = hashCombine(h, v); };
+        auto mix_double = [&mix](double v) {
+            mix(std::bit_cast<std::uint64_t>(v));
+        };
+        for (const auto &row : est.domainInstr)
+            for (double v : row)
+                mix_double(v);
+        mix(est.waves.size());
+        for (const auto &w : est.waves) {
+            mix(w.cu);
+            mix(w.slot);
+            mix(w.startPcAddr);
+            mix_double(w.sensitivity);
+            mix_double(w.level);
+            mix(w.ageRank);
+        }
+        digests.push_back(h);
+
+        for (std::uint32_t cu = 0; cu < cfg.numCus; ++cu) {
+            const std::size_t s = (cu * 5 + e * 3) % table.numStates();
+            chip.setCuFrequency(cu, table.state(s).freq, latency);
+        }
+        const Tick start = chip.now();
+        chip.runUntil(start + tickUs);
+        chip.harvestEpoch(start);
+    }
+    return digests;
+}
+
+} // namespace
+
+TEST(ForkPreExecute, EstimatesArePinnedAt8Cus)
+{
+    // The oracle path at 8 CUs: any change to the CU step, wave
+    // scheduling order, age ranks or snapshot restore shows up in the
+    // sampled I(f) matrix or the wave fits. comd crosses a kernel
+    // launch boundary within these epochs; xsbench runs to completion
+    // (its last digests are those of the drained chip).
+    const std::vector<std::uint64_t> comd{
+        0x2eba25c69b8c61b1ULL, 0x0ab534a7ac2621eaULL, 0x402bb2d2db2eb497ULL,
+        0x7745f9966fcb2535ULL, 0x60b40aa11a55d1d9ULL, 0x091c94d0b172a47aULL,
+        0x0e681a8b681889c7ULL, 0x5a848862b57385a8ULL, 0x24d1e779b3d76734ULL,
+        0xd7a22f645e5766c4ULL, 0x5ecb9c48061d04f0ULL, 0x8f83fc4a889622d0ULL,
+        0xc93bc6242173587eULL, 0x6dac2b933609c731ULL, 0x9ba9dbe6456cce4fULL,
+        0xd8b91f74fa94f037ULL};
+    const std::vector<std::uint64_t> xsbench{
+        0xdcfe0b9c5c6a75e3ULL, 0xdf69981e8422c543ULL, 0x153226233ed3bfa5ULL,
+        0x4b10ba7155ea230fULL, 0xdb7764d924f97bdcULL, 0x20cb8b9ee172deb6ULL,
+        0x80c0288214654e27ULL, 0xe05680f20b1e0531ULL, 0x91cd785dcba6131eULL,
+        0x9a57bc5b05c66bfaULL, 0x2218c82610ebb19bULL, 0x53debb2989ca8631ULL,
+        0xf8a54225d13b1b3cULL, 0xf8a54225d13b1b3cULL, 0xf8a54225d13b1b3cULL,
+        0xf8a54225d13b1b3cULL};
+    EXPECT_EQ(sweepDigests("comd", comd.size()), comd);
+    EXPECT_EQ(sweepDigests("xsbench", xsbench.size()), xsbench);
 }
