@@ -20,19 +20,12 @@ ComputeUnit::init(std::uint32_t id, std::uint32_t slot_count,
     wstate_.assign(slot_count, WaveState::Idle);
     readyAt_.assign(slot_count, 0);
     seq_.assign(slot_count, 0);
-    readyMask_.resize(slot_count);
-    pendMask_.resize(slot_count);
-    memMask_.resize(slot_count);
-    occMask_.resize(slot_count);
-    const std::uint32_t simds = std::max(num_simds, 1u);
-    simdMask_.assign(simds, BitMask{});
-    for (std::uint32_t s = 0; s < simds; ++s) {
-        simdMask_[s].resize(slot_count);
-        for (std::uint32_t i = s; i < slot_count; i += simds)
-            simdMask_[s].set(i);
-    }
-    freeSlots = slot_count;
-    numReady = 0;
+    panicIf(slot_count > maxWaveSlotsPerCu, "too many wave slots per CU");
+    pendMask_ = 0;
+    memMask_ = 0;
+    occMask_ = 0;
+    readyAge_ = 0;
+    simdAge_.assign(std::max(num_simds, 1u), 0);
     wakeScanAt = 0;
     memWakeAt_ = tickInf;
     freq_ = freq;
@@ -92,56 +85,52 @@ ComputeUnit::wakeWaves(Tick now)
     // Busy wakes land a cycle or two out and re-arm wakeScanAt almost
     // every step. Scanning the whole pending set each cycle therefore
     // wastes most of its time re-checking memory waiters that cannot
-    // possibly be due; skip them while now < memWakeAt_. The wake
-    // updates per due wave are independent (per-slot accrual plus one
-    // state transition), so processing near and far waves in separate
-    // passes is observationally identical to the old ascending scan.
+    // possibly be due; skip them while now < memWakeAt_.
     //
-    // Each pass computes the due set and the next wake branchlessly
-    // first (data-dependent branches on readyAt mispredict badly),
-    // then processes the few due waves.
-    Tick next_wake = tickInf;
+    // The scan computes the due set and the next wakes branchlessly
+    // (data-dependent branches on readyAt mispredict badly); the due
+    // waves then move to Ready in one batch. Their updates are
+    // independent (per-slot accrual plus one state transition), so
+    // the batch is observationally identical to one wave at a time.
     const bool scan_mem = now >= memWakeAt_;
-    if (scan_mem)
-        memWakeAt_ = tickInf;
-    for (std::size_t wi = 0; wi < pendMask_.wordCount(); ++wi) {
-        const std::uint64_t mem_w = memMask_.word(wi);
-        std::uint64_t w = pendMask_.word(wi);
-        if (!scan_mem)
-            w &= ~mem_w;
-        std::uint64_t due = 0;
-        while (w != 0) {
-            const std::uint64_t bit = w & (~w + 1);
-            const std::size_t i =
-                (wi << 6) +
-                static_cast<std::size_t>(std::countr_zero(w));
-            w &= w - 1;
-            const Tick at = readyAt_[i];
-            const bool is_due = at <= now;
-            due |= is_due ? bit : 0;
-            const Tick pend_at = is_due ? tickInf : at;
-            next_wake = std::min(next_wake, pend_at);
-            if (scan_mem && (mem_w & bit) != 0)
-                memWakeAt_ = std::min(memWakeAt_, pend_at);
-        }
-        while (due != 0) {
-            const std::size_t i =
-                (wi << 6) +
-                static_cast<std::size_t>(std::countr_zero(due));
-            due &= due - 1;
-            const Tick at = readyAt_[i];
-            if (wstate_[i] == WaveState::WaitMem) {
-                // The stall semantically ended at the wake tick, even
-                // if this CU only got around to processing it now.
-                Wavefront &w2 = slots[i];
-                w2.epMemStall += at - w2.stallEnter;
-                w2.retireCompleted(at);
-            }
-            setWaveState(static_cast<std::uint32_t>(i),
-                         WaveState::Ready);
-        }
+    std::uint64_t w = scan_mem ? pendMask_ : pendMask_ & ~memMask_;
+    std::uint64_t due = 0;
+    Tick next_wake = tickInf;
+    Tick next_mem = tickInf;
+    while (w != 0) {
+        const std::uint64_t bit = w & (~w + 1);
+        const Tick at = readyAt_[std::countr_zero(w)];
+        w &= w - 1;
+        const bool is_due = at <= now;
+        due |= is_due ? bit : 0;
+        const Tick pend_at = is_due ? tickInf : at;
+        next_wake = std::min(next_wake, pend_at);
+        next_mem = std::min(next_mem,
+                            (memMask_ & bit) != 0 ? pend_at : tickInf);
     }
+    if (scan_mem)
+        memWakeAt_ = next_mem;
     wakeScanAt = std::min(next_wake, memWakeAt_);
+    if (due == 0)
+        return;
+
+    const std::uint64_t due_mem = due & memMask_;
+    for (std::uint64_t d = due_mem; d != 0; d &= d - 1) {
+        // The stall semantically ended at the wake tick, even if this
+        // CU only got around to processing it now.
+        const int i = std::countr_zero(d);
+        Wavefront &wave = slots[i];
+        wave.epMemStall += readyAt_[i] - wave.stallEnter;
+        wave.retireCompleted(readyAt_[i]);
+    }
+    pendMask_ &= ~due;
+    memMask_ &= ~due_mem;
+    for (; due != 0; due &= due - 1) {
+        const std::uint32_t i =
+            static_cast<std::uint32_t>(std::countr_zero(due));
+        wstate_[i] = WaveState::Ready;
+        readyAge_ |= ageBit(i);
+    }
 }
 
 void
@@ -160,44 +149,37 @@ ComputeUnit::closeSleep(Tick now)
     sleepGate = SleepGate::None;
 }
 
-int
-ComputeUnit::pickReadyWave(std::uint32_t simd) const
+void
+ComputeUnit::enterAgeOrder(std::uint32_t i)
 {
-    const BitMask &mine = simdMask_[simd];
-    // Oldest-first pick. Packing (seq << 16 | slot) into one key keeps
-    // the min-reduction branchless (seqs are unique, so the slot bits
-    // never decide the comparison; they just ride along).
-    std::uint64_t best_key = ~std::uint64_t{0};
-    for (std::size_t wi = 0; wi < readyMask_.wordCount(); ++wi) {
-        std::uint64_t w = readyMask_.word(wi) & mine.word(wi);
-        while (w != 0) {
-            const std::size_t i =
-                (wi << 6) +
-                static_cast<std::size_t>(std::countr_zero(w));
-            w &= w - 1;
-            best_key = std::min(best_key, (seq_[i] << 16) | i);
-        }
-    }
-    if (best_key == ~std::uint64_t{0})
-        return -1;
-    return static_cast<int>(best_key & 0xffff);
+    // A dispatch takes the next seq, so the new wave is the youngest.
+    const std::uint32_t p =
+        static_cast<std::uint32_t>(std::popcount(occMask_));
+    occMask_ |= std::uint64_t{1} << i;
+    byAge_[p] = static_cast<std::uint8_t>(i);
+    agePos_[i] = static_cast<std::uint8_t>(p);
+    simdAge_[i % simdAge_.size()] |= std::uint64_t{1} << p;
 }
 
 void
-ComputeUnit::ageRanks(std::vector<std::uint32_t> &rank) const
+ComputeUnit::leaveAgeOrder(std::uint32_t i)
 {
-    // Seqs are unique per CU, so a wave's rank (the number of older
-    // resident waves) is its position in seq order. Packing (seq << 16
-    // | slot) sorts by seq and carries the slot along.
-    static thread_local std::vector<std::uint64_t> keys;
-    keys.clear();
-    occMask_.forEachSet([&](std::size_t i) {
-        keys.push_back((seq_[i] << 16) | i);
-    });
-    std::sort(keys.begin(), keys.end());
-    rank.resize(slots.size());
-    for (std::size_t r = 0; r < keys.size(); ++r)
-        rank[keys[r] & 0xffff] = static_cast<std::uint32_t>(r);
+    const std::uint32_t p = agePos_[i];
+    const std::uint32_t n =
+        static_cast<std::uint32_t>(std::popcount(occMask_));
+    occMask_ &= ~(std::uint64_t{1} << i);
+    // Close the gap at bit p: bits above it move down one place.
+    const std::uint64_t below = (std::uint64_t{1} << p) - 1;
+    auto squeeze = [below](std::uint64_t v) {
+        return (v & below) | ((v >> 1) & ~below);
+    };
+    readyAge_ = squeeze(readyAge_);
+    for (std::uint64_t &m : simdAge_)
+        m = squeeze(m);
+    for (std::uint32_t q = p + 1; q < n; ++q) {
+        byAge_[q - 1] = byAge_[q];
+        agePos_[byAge_[q]] = static_cast<std::uint8_t>(q - 1);
+    }
 }
 
 std::uint64_t
@@ -261,9 +243,12 @@ ComputeUnit::tryDispatch(CuContext &ctx, Tick now)
         // Collect free slots (ascending, same order as the old
         // full-array scan).
         free_slots.clear();
-        occMask_.forEachClear([&](std::size_t i) {
-            free_slots.push_back(static_cast<std::uint32_t>(i));
-        });
+        const std::uint64_t all = slotCount() == 64
+            ? ~std::uint64_t{0}
+            : (std::uint64_t{1} << slotCount()) - 1;
+        for (std::uint64_t w = all & ~occMask_; w != 0; w &= w - 1)
+            free_slots.push_back(
+                static_cast<std::uint32_t>(std::countr_zero(w)));
         if (free_slots.size() < kernel.wavesPerWorkgroup)
             break;
 
@@ -328,35 +313,30 @@ ComputeUnit::dispatchWouldStart(const CuContext &ctx) const
 {
     return ctx.dispatch.curLaunch < ctx.app.launches.size() &&
         undispatched(ctx.dispatch) > 0 &&
-        freeSlots >=
+        freeSlots() >=
         ctx.app.launches[ctx.dispatch.curLaunch].wavesPerWorkgroup;
 }
 
 void
 ComputeUnit::releaseBarrier(std::uint32_t wg_index, Tick now)
 {
-    // WaitBarrier slots are exactly the occupied ones with no ready
-    // bit and no pending wake.
-    for (std::size_t wi = 0; wi < occMask_.wordCount(); ++wi) {
-        std::uint64_t w = occMask_.word(wi) & ~readyMask_.word(wi) &
-            ~pendMask_.word(wi);
-        while (w != 0) {
-            const std::uint32_t i = static_cast<std::uint32_t>(
-                (wi << 6) + std::countr_zero(w));
-            w &= w - 1;
-            Wavefront &wave = slots[i];
-            if (wstate_[i] != WaveState::WaitBarrier ||
-                wave.wgIndex != wg_index) {
-                continue;
-            }
-            wave.epBarrierStall += now - wave.barrierEnter;
-            setWaveState(i, WaveState::Ready);
-            ++wave.pc;
-            ++wave.epCommitted;
-            ++epCommitted;
-            ++lifeCommitted_;
-            lastCommit_ = now;
+    // WaitBarrier slots are among the occupied ones with no pending
+    // wake.
+    for (std::uint64_t w = occMask_ & ~pendMask_; w != 0; w &= w - 1) {
+        const std::uint32_t i =
+            static_cast<std::uint32_t>(std::countr_zero(w));
+        Wavefront &wave = slots[i];
+        if (wstate_[i] != WaveState::WaitBarrier ||
+            wave.wgIndex != wg_index) {
+            continue;
         }
+        wave.epBarrierStall += now - wave.barrierEnter;
+        setWaveState(i, WaveState::Ready);
+        ++wave.pc;
+        ++wave.epCommitted;
+        ++epCommitted;
+        ++lifeCommitted_;
+        lastCommit_ = now;
     }
     wgs[wg_index].arrived = 0;
 }
@@ -377,9 +357,7 @@ ComputeUnit::issue(CuContext &ctx, std::uint32_t slot, Tick now,
         lastCommit_ = now;
     };
     auto busy_for = [&](Cycles cycles) {
-        setWaveState(slot, WaveState::Busy);
-        readyAt_[slot] = now + cycles * period_;
-        wakeScanAt = std::min(wakeScanAt, readyAt_[slot]);
+        leaveReady(slot, WaveState::Busy, now + cycles * period_);
     };
 
     switch (ins.op) {
@@ -406,10 +384,7 @@ ComputeUnit::issue(CuContext &ctx, std::uint32_t slot, Tick now,
                  storeCompletions.front() < loadCompletions.front())) {
                 wake = std::max(now + period_, storeCompletions.front());
             }
-            setWaveState(slot, WaveState::WaitMem);
-            readyAt_[slot] = wake;
-            wakeScanAt = std::min(wakeScanAt, wake);
-            memWakeAt_ = std::min(memWakeAt_, wake);
+            leaveReady(slot, WaveState::WaitMem, wake);
             wave.stallEnter = now;
             wave.stallGateStore = is_store;
             break;
@@ -461,10 +436,8 @@ ComputeUnit::issue(CuContext &ctx, std::uint32_t slot, Tick now,
         } else {
             const std::size_t gate_idx =
                 wave.pending.size() - ins.maxOutstanding - 1;
-            setWaveState(slot, WaveState::WaitMem);
-            readyAt_[slot] = wave.pending[gate_idx].completion;
-            wakeScanAt = std::min(wakeScanAt, readyAt_[slot]);
-            memWakeAt_ = std::min(memWakeAt_, readyAt_[slot]);
+            leaveReady(slot, WaveState::WaitMem,
+                       wave.pending[gate_idx].completion);
             wave.stallEnter = now;
             wave.stallGateStore = wave.pending[gate_idx].isStore;
         }
@@ -566,7 +539,7 @@ ComputeUnit::advance(CuContext &ctx, Tick now, StepCursor &cur,
     // step only parks when a dispatch would start: with fewer free
     // slots than a workgroup needs, tryDispatch() changes nothing.
     if (stage == Stage::Dispatch) {
-        if (freeSlots > 0 && undispatched(ctx.dispatch) > 0) {
+        if (freeSlots() > 0 && undispatched(ctx.dispatch) > 0) {
             if (!Private) {
                 tryDispatch(ctx, now);
             } else if (dispatchWouldStart(ctx)) {
@@ -579,11 +552,12 @@ ComputeUnit::advance(CuContext &ctx, Tick now, StepCursor &cur,
     }
 
     // Each SIMD issues at most one instruction this cycle,
-    // oldest-ready-first among its resident waves. The cached ready
-    // count skips the per-SIMD scans entirely on wake-only steps.
-    const std::uint32_t num_simds = std::max(ctx.cfg.simdsPerCu, 1u);
+    // oldest-ready-first among its resident waves; wake-only steps
+    // skip the SIMD loop entirely.
+    const std::uint32_t num_simds =
+        static_cast<std::uint32_t>(simdAge_.size());
     bool completed_wg = false;
-    if (numReady > 0) {
+    if (readyAge_ != 0) {
         for (; simd < num_simds; ++simd) {
             const int ready = pickReadyWave(simd);
             if (ready < 0)
@@ -631,17 +605,11 @@ ComputeUnit::advance(CuContext &ctx, Tick now, StepCursor &cur,
     // lowest slot — the same winner the old ascending strict-< scan
     // produced — without a data-dependent branch per wave.
     std::uint64_t wake_key = ~std::uint64_t{0};
-    for (std::size_t wi = 0; wi < pendMask_.wordCount(); ++wi) {
-        std::uint64_t w = pendMask_.word(wi);
-        while (w != 0) {
-            const std::size_t i =
-                (wi << 6) +
-                static_cast<std::size_t>(std::countr_zero(w));
-            w &= w - 1;
-            wake_key = std::min(
-                wake_key,
-                (static_cast<std::uint64_t>(readyAt_[i]) << 16) | i);
-        }
+    for (std::uint64_t w = pendMask_; w != 0; w &= w - 1) {
+        const std::uint64_t i =
+            static_cast<std::uint64_t>(std::countr_zero(w));
+        wake_key = std::min(
+            wake_key, (static_cast<std::uint64_t>(readyAt_[i]) << 16) | i);
     }
     Tick wake = tickInf;
     bool wake_is_mem = false;
@@ -658,7 +626,7 @@ ComputeUnit::advance(CuContext &ctx, Tick now, StepCursor &cur,
         // deadlock and cannot happen with well-formed kernels). With
         // no ready and no pending slots, anything still occupied is
         // blocked at a barrier.
-        panicIf(occMask_.any(),
+        panicIf(occMask_ != 0,
                 "barrier deadlock: all remaining waves at s_barrier");
         result.next = tickInf;
         return true;
@@ -717,8 +685,6 @@ ComputeUnit::harvest(CuContext &ctx, Tick boundary, CuEpochRecord &cu_out,
     cu_out.mem = ctx.mem.activity(cuId);
     cu_out.freq = freq_;
 
-    static thread_local std::vector<std::uint32_t> rank;
-    ageRanks(rank);
     for (std::uint32_t i = 0; i < slots.size(); ++i) {
         Wavefront &w = slots[i];
         const WaveState state = wstate_[i];
@@ -745,7 +711,7 @@ ComputeUnit::harvest(CuContext &ctx, Tick boundary, CuEpochRecord &cu_out,
         rec.committed = w.epCommitted;
         rec.memStall = w.epMemStall;
         rec.barrierStall = w.epBarrierStall;
-        rec.ageRank = state == WaveState::Idle ? 0 : rank[i];
+        rec.ageRank = state == WaveState::Idle ? 0 : agePos_[i];
         rec.active = true;
         waves_out.push_back(rec);
 
@@ -777,7 +743,7 @@ ComputeUnit::fingerprint(std::uint64_t &h) const
     mix(static_cast<std::uint64_t>(period_));
     mix(static_cast<std::uint64_t>(freqStallUntil));
     mix(static_cast<std::uint64_t>(nextEventAt));
-    mix(freeSlots);
+    mix(freeSlots());
     mix(seqCounter);
     mix(lifeCommitted_);
     mix(static_cast<std::uint64_t>(lastCommit_));
@@ -855,8 +821,6 @@ void
 ComputeUnit::appendSnapshots(const isa::Application &app,
                              std::vector<WaveSnapshot> &out) const
 {
-    static thread_local std::vector<std::uint32_t> rank;
-    ageRanks(rank);
     for (std::uint32_t i = 0; i < slots.size(); ++i) {
         if (wstate_[i] == WaveState::Idle)
             continue;
@@ -866,7 +830,7 @@ ComputeUnit::appendSnapshots(const isa::Application &app,
         snap.slot = i;
         snap.pc = w.pc;
         snap.pcAddr = app.launches[w.launchIndex].pcAddr(w.pc);
-        snap.ageRank = rank[i];
+        snap.ageRank = agePos_[i];
         out.push_back(snap);
     }
 }

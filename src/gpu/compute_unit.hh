@@ -10,20 +10,26 @@
  * pointers, so GpuChip snapshots are plain copies.
  *
  * Layout: the scheduling-hot per-wave fields are stored SoA
- * (wstate_/readyAt_/seq_) next to ready/pending/occupied bitmasks, so
- * the per-tick scans (wake, pick-ready, sleep classification) iterate
- * mask words and a few contiguous arrays instead of striding through
- * the cold Wavefront records.
+ * (wstate_/readyAt_/seq_) next to one 64-bit word per wave-state set
+ * (a CU has at most maxWaveSlotsPerCu slots), so the per-tick scans
+ * (wake, sleep classification) walk one word and a few contiguous
+ * arrays instead of striding through the cold Wavefront records.
+ * Resident waves are also kept in age (dispatch) order, with the
+ * Ready set and each SIMD's membership stored as bits over that
+ * order: the oldest ready wave of a SIMD is one countr_zero, and a
+ * wave's age rank is its position.
  */
 
 #ifndef PCSTALL_GPU_COMPUTE_UNIT_HH
 #define PCSTALL_GPU_COMPUTE_UNIT_HH
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
-#include "common/bit_mask.hh"
 #include "common/types.hh"
 #include "gpu/epoch_stats.hh"
 #include "gpu/gpu_config.hh"
@@ -190,7 +196,7 @@ class alignas(64) ComputeUnit
     Tick nextEventAt = 0;
 
     /** True when no wavefronts are resident. */
-    bool idle() const { return !occMask_.any(); }
+    bool idle() const { return occMask_ == 0; }
 
     /** Resident-wave snapshots with age ranks (predictor lookups). */
     void appendSnapshots(const isa::Application &app,
@@ -246,44 +252,73 @@ class alignas(64) ComputeUnit
                              const Wavefront &wave,
                              const isa::Instruction &ins) const;
     /** Oldest ready wave on SIMD @p simd (-1 when none). */
-    int pickReadyWave(std::uint32_t simd) const;
-    /**
-     * Age rank (0 = oldest) of every resident wave, indexed by slot:
-     * one sort of the occupied (seq, slot) pairs per CU.
-     */
-    void ageRanks(std::vector<std::uint32_t> &rank) const;
+    int
+    pickReadyWave(std::uint32_t simd) const
+    {
+        const std::uint64_t w = readyAge_ & simdAge_[simd];
+        return w == 0 ? -1 : byAge_[std::countr_zero(w)];
+    }
+
+    /** Bit of slot @p i's age position (resident slots only). */
+    std::uint64_t ageBit(std::uint32_t i) const
+    {
+        return std::uint64_t{1} << agePos_[i];
+    }
+
+    /** Number of Idle slots (dispatch gating). */
+    std::uint32_t
+    freeSlots() const
+    {
+        return slotCount() -
+            static_cast<std::uint32_t>(std::popcount(occMask_));
+    }
+
+    /** Append slot @p i to the age order as the youngest wave. */
+    void enterAgeOrder(std::uint32_t i);
+    /** Drop slot @p i from the age order; younger waves move up. */
+    void leaveAgeOrder(std::uint32_t i);
 
     /**
-     * Move slot @p i to state @p ns, maintaining the ready/pending/
-     * occupied masks and the ready/free counters.
-     * The single chokepoint for wave-state transitions.
+     * Move slot @p i from Ready to Busy or WaitMem (@p ns) until
+     * @p at: the issue path's transition.
+     */
+    void
+    leaveReady(std::uint32_t i, WaveState ns, Tick at)
+    {
+        const std::uint64_t bit = std::uint64_t{1} << i;
+        readyAge_ &= ~ageBit(i);
+        pendMask_ |= bit;
+        readyAt_[i] = at;
+        wakeScanAt = std::min(wakeScanAt, at);
+        if (ns == WaveState::WaitMem) {
+            memMask_ |= bit;
+            memWakeAt_ = std::min(memWakeAt_, at);
+        }
+        wstate_[i] = ns;
+    }
+
+    /**
+     * Move slot @p i to state @p ns, maintaining the pending/memory/
+     * occupied masks and the age order. The chokepoint for the rarer
+     * transitions (dispatch, barriers, s_endpgm); issue and wake use
+     * leaveReady() and wakeWaves()' batched update.
      */
     void
     setWaveState(std::uint32_t i, WaveState ns)
     {
+        const std::uint64_t bit = std::uint64_t{1} << i;
         const WaveState os = wstate_[i];
-        if (os == WaveState::Ready) {
-            readyMask_.reset(i);
-            --numReady;
-        } else if (os == WaveState::Busy || os == WaveState::WaitMem) {
-            pendMask_.reset(i);
-        } else if (os == WaveState::Idle) {
-            occMask_.set(i);
-            --freeSlots;
-        }
-        if (ns == WaveState::Ready) {
-            readyMask_.set(i);
-            ++numReady;
-        } else if (ns == WaveState::Busy || ns == WaveState::WaitMem) {
-            pendMask_.set(i);
-        } else if (ns == WaveState::Idle) {
-            occMask_.reset(i);
-            ++freeSlots;
-        }
-        if (os == WaveState::WaitMem)
-            memMask_.reset(i);
-        if (ns == WaveState::WaitMem)
-            memMask_.set(i);
+        if (os == WaveState::Idle)
+            enterAgeOrder(i);
+        else if (os == WaveState::Ready)
+            readyAge_ &= ~ageBit(i);
+        if (ns == WaveState::Idle)
+            leaveAgeOrder(i);
+        else if (ns == WaveState::Ready)
+            readyAge_ |= ageBit(i);
+        const bool pend = ns == WaveState::Busy || ns == WaveState::WaitMem;
+        pendMask_ = (pendMask_ & ~bit) | (pend ? bit : 0);
+        memMask_ = (memMask_ & ~bit) | (ns == WaveState::WaitMem ? bit : 0);
         wstate_[i] = ns;
     }
 
@@ -297,31 +332,33 @@ class alignas(64) ComputeUnit
     std::vector<Wavefront> slots;
     std::vector<ResidentWg> wgs;
 
-    // --- SoA scheduling state (one entry per slot) ---
+    // --- SoA scheduling state (one entry or bit per slot) ---
     std::vector<WaveState> wstate_;
     /** For Busy: when the wave can issue again. For WaitMem: wake. */
     std::vector<Tick> readyAt_;
-    /** Dispatch order within the CU; oldest-first scheduling key. */
+    /** Dispatch order within the CU (its age order keeps it sorted). */
     std::vector<std::uint64_t> seq_;
-    /** Slots in WaveState::Ready. */
-    BitMask readyMask_;
     /** Slots in Busy or WaitMem (have a pending wake in readyAt_). */
-    BitMask pendMask_;
+    std::uint64_t pendMask_ = 0;
     /** Slots in WaitMem only (far wakes). The per-cycle wake scan
      *  skips these while now < memWakeAt_, so it only walks the
      *  short-latency Busy set. */
-    BitMask memMask_;
+    std::uint64_t memMask_ = 0;
     /** Slots not Idle. */
-    BitMask occMask_;
-    /** Slots belonging to each SIMD (slot % num_simds == simd). */
-    std::vector<BitMask> simdMask_;
+    std::uint64_t occMask_ = 0;
 
-    /** Cached count of Idle slots (dispatch gating). */
-    std::uint32_t freeSlots = 0;
-    /** Cached count of Ready slots (skips the per-SIMD issue scans
-     *  when nothing can issue). Derived state: maintained at every
-     *  wave-state transition, excluded from fingerprint(). */
-    std::uint32_t numReady = 0;
+    // --- Age order of the resident waves. Derived state: it is the
+    // occupied slots sorted by seq_, so fingerprint() skips it. ---
+    /** byAge_[p]: slot of the wave with age rank p (0 = oldest). */
+    std::array<std::uint8_t, maxWaveSlotsPerCu> byAge_{};
+    /** agePos_[slot]: the resident wave's age rank. */
+    std::array<std::uint8_t, maxWaveSlotsPerCu> agePos_{};
+    /** Age positions of the Ready waves. */
+    std::uint64_t readyAge_ = 0;
+    /** Per SIMD: age positions of its resident waves (slot i belongs
+     *  to SIMD i % simdAge_.size()). */
+    std::vector<std::uint64_t> simdAge_;
+
     /** Lower bound on the earliest Busy/WaitMem wake time; wakeWaves()
      *  skips its slot scan while now is below it. Derived state. */
     Tick wakeScanAt = 0;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <exception>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -23,6 +24,9 @@ normalized(GpuConfig cfg)
 {
     fatalIf(cfg.numCus == 0, "GPU needs at least one CU");
     fatalIf(cfg.waveSlotsPerCu == 0, "GPU needs at least one wave slot");
+    fatalIf(cfg.waveSlotsPerCu > maxWaveSlotsPerCu,
+            "GPU supports at most " + std::to_string(maxWaveSlotsPerCu) +
+            " wave slots per CU");
     cfg.mem.numCus = cfg.numCus;
     return cfg;
 }

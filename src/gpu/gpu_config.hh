@@ -15,13 +15,20 @@
 namespace pcstall::gpu
 {
 
+/**
+ * Most wave slots a CU may have: each per-CU wave-state set is one
+ * 64-bit word (ComputeUnit).
+ */
+inline constexpr std::uint32_t maxWaveSlotsPerCu = 64;
+
 /** Static hardware parameters of the simulated GPU. */
 struct GpuConfig
 {
     /** Number of compute units. */
     std::uint32_t numCus = 64;
 
-    /** Wavefront slots per CU (the paper assumes ~40 waves). */
+    /** Wavefront slots per CU (the paper assumes ~40 waves; at most
+     *  maxWaveSlotsPerCu). */
     std::uint32_t waveSlotsPerCu = 40;
 
     /**

@@ -51,8 +51,8 @@ struct PendingMem
 /**
  * Cold per-wavefront state. The scheduling-hot fields every per-tick
  * scan reads - state, wake tick and dispatch order - live in SoA
- * arrays inside ComputeUnit (wstate_/readyAt_/seq_ plus the
- * ready/pending/occupied bitmasks), so scans touch a few cache lines
+ * arrays inside ComputeUnit (wstate_/readyAt_/seq_ plus one-word
+ * wave-state masks), so scans touch a few cache lines
  * instead of striding through these ~200-byte records. A Wavefront
  * is only loaded when its wave actually issues, wakes or harvests.
  */
@@ -119,17 +119,6 @@ struct Wavefront
         stallEnter = 0;
         barrierEnter = 0;
         stallGateStore = false;
-    }
-
-    /** Number of outstanding ops, ignoring ones completed by @p now. */
-    std::uint32_t
-    outstandingAt(Tick now) const
-    {
-        std::uint32_t n = 0;
-        for (const PendingMem &p : pending)
-            if (p.completion > now)
-                ++n;
-        return n;
     }
 
     /** Drop ops completed by @p now (pending is kept sorted). */
