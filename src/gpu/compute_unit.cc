@@ -92,25 +92,23 @@ ComputeUnit::wakeWaves(Tick now)
     // waves then move to Ready in one batch. Their updates are
     // independent (per-slot accrual plus one state transition), so
     // the batch is observationally identical to one wave at a time.
-    const bool scan_mem = now >= memWakeAt_;
-    std::uint64_t w = scan_mem ? pendMask_ : pendMask_ & ~memMask_;
     std::uint64_t due = 0;
-    Tick next_wake = tickInf;
-    Tick next_mem = tickInf;
-    while (w != 0) {
-        const std::uint64_t bit = w & (~w + 1);
-        const Tick at = readyAt_[std::countr_zero(w)];
-        w &= w - 1;
-        const bool is_due = at <= now;
-        due |= is_due ? bit : 0;
-        const Tick pend_at = is_due ? tickInf : at;
-        next_wake = std::min(next_wake, pend_at);
-        next_mem = std::min(next_mem,
-                            (memMask_ & bit) != 0 ? pend_at : tickInf);
-    }
-    if (scan_mem)
-        memWakeAt_ = next_mem;
-    wakeScanAt = std::min(next_wake, memWakeAt_);
+    // One branchless pass over a set: marks its due waves in `due`
+    // and returns the earliest wake that is not due yet.
+    auto scan = [&](std::uint64_t w) {
+        Tick next = tickInf;
+        for (; w != 0; w &= w - 1) {
+            const int i = std::countr_zero(w);
+            const bool is_due = readyAt_[i] <= now;
+            due |= is_due ? std::uint64_t{1} << i : 0;
+            next = std::min(next, is_due ? tickInf : readyAt_[i]);
+        }
+        return next;
+    };
+    const Tick next_busy = scan(pendMask_ & ~memMask_);
+    if (now >= memWakeAt_)
+        memWakeAt_ = scan(memMask_);
+    wakeScanAt = std::min(next_busy, memWakeAt_);
     if (due == 0)
         return;
 

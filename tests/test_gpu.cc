@@ -319,6 +319,60 @@ TEST(GpuChip, DivergentTripCountsVaryPerWave)
     EXPECT_GT(max_c, min_c);
 }
 
+TEST(GpuChip, RefilledLowSlotLosesToOlderWaves)
+{
+    // One SIMD, four slots, two-wave workgroups and one-cycle
+    // latencies: the oldest ready wave issues every cycle, so waves
+    // run one after another in age order, interleaving only at the
+    // barrier. When workgroup 0 (slots 0-1) completes, workgroup 2
+    // refills slots 0-1 while workgroup 1's older waves still sit in
+    // slots 2-3 at pc 0: the refill must wait until they are done,
+    // also after their barrier releases them.
+    isa::KernelBuilder b("refill");
+    b.grid(3, 2);
+    b.valu(1, 2);
+    b.barrier();
+    b.valu(1, 2);
+    auto app = std::make_shared<isa::Application>();
+    app->name = "refill_app";
+    app->launches.push_back(b.build());
+    app->assignCodeBases();
+    const std::uint32_t after_barrier = 3;
+
+    GpuConfig cfg = smallGpu(1);
+    cfg.waveSlotsPerCu = 4;
+    cfg.simdsPerCu = 1;
+    GpuChip chip(cfg, app);
+    bool refilled = false;
+    bool released_first = false;
+    bool done = false;
+    for (int i = 1; i <= 10'000 && !done; ++i) {
+        done = chip.runUntil(i * 100);
+        const auto snaps = chip.waveSnapshots();
+        const WaveSnapshot *low = nullptr;
+        const WaveSnapshot *high = nullptr;
+        for (const WaveSnapshot &s : snaps) {
+            if (s.slot == 0)
+                low = &s;
+            if (s.slot == 2)
+                high = &s;
+        }
+        if (low == nullptr || low->ageRank == 0)
+            continue;
+        // Slot 0 holds a wave younger than some resident wave.
+        refilled = true;
+        EXPECT_EQ(low->pc, 0u) << "at " << i * 100 << " ps";
+        if (high != nullptr && high->pc >= after_barrier) {
+            EXPECT_LT(high->ageRank, low->ageRank);
+            released_first = true;
+        }
+    }
+    EXPECT_TRUE(done);
+    EXPECT_TRUE(refilled);
+    EXPECT_TRUE(released_first);
+    EXPECT_EQ(chip.totalCommitted(), 6u * 6u);
+}
+
 TEST(TransitionLatency, MatchesPaperPoints)
 {
     EXPECT_EQ(transitionLatencyFor(1 * tickUs), 4 * tickNs);
@@ -831,4 +885,13 @@ TEST(GpuDeath, RejectsOversizedWorkgroup)
     app->name = "big";
     app->launches.push_back(b.build());
     EXPECT_FATAL(GpuChip(smallGpu(), app), "does not fit");
+}
+
+TEST(GpuDeath, RejectsMoreThan64WaveSlots)
+{
+    GpuConfig cfg = smallGpu();
+    cfg.waveSlotsPerCu = maxWaveSlotsPerCu;
+    EXPECT_NO_THROW(GpuChip(cfg, computeApp()));
+    cfg.waveSlotsPerCu = maxWaveSlotsPerCu + 1;
+    EXPECT_FATAL(GpuChip(cfg, computeApp()), "at most 64 wave slots");
 }
