@@ -238,8 +238,7 @@ ComputeUnit::tryDispatch(CuContext &ctx, Tick now)
         const isa::Kernel &kernel =
             ctx.app.launches[ctx.dispatch.curLaunch];
 
-        // Collect free slots (ascending, same order as the old
-        // full-array scan).
+        // Collect the free slots in ascending order.
         free_slots.clear();
         const std::uint64_t all = slotCount() == 64
             ? ~std::uint64_t{0}

@@ -336,7 +336,8 @@ class alignas(64) ComputeUnit
     std::vector<WaveState> wstate_;
     /** For Busy: when the wave can issue again. For WaitMem: wake. */
     std::vector<Tick> readyAt_;
-    /** Dispatch order within the CU (its age order keeps it sorted). */
+    /** Dispatch order within the CU; byAge_ lists the resident slots
+     *  in this order. */
     std::vector<std::uint64_t> seq_;
     /** Slots in Busy or WaitMem (have a pending wake in readyAt_). */
     std::uint64_t pendMask_ = 0;
