@@ -19,7 +19,6 @@ ComputeUnit::init(std::uint32_t id, std::uint32_t slot_count,
     wgs.clear();
     wstate_.assign(slot_count, WaveState::Idle);
     readyAt_.assign(slot_count, 0);
-    seq_.assign(slot_count, 0);
     panicIf(slot_count > maxWaveSlotsPerCu, "too many wave slots per CU");
     pendMask_ = 0;
     memMask_ = 0;
@@ -269,7 +268,7 @@ ComputeUnit::tryDispatch(CuContext &ctx, Tick now)
             w.resetKeepCapacity();
             setWaveState(slot, WaveState::Ready);
             readyAt_[slot] = 0;
-            seq_[slot] = seqCounter++;
+            w.seq = seqCounter++;
             w.pc = 0;
             w.globalId = ctx.dispatch.nextGlobalWaveId++;
             w.wgIndex = wg_index;
@@ -761,7 +760,7 @@ ComputeUnit::fingerprint(std::uint64_t &h) const
         for (std::uint32_t t : w.loopTripsInit)
             mix(t);
         mix(w.globalId);
-        mix(seq_[i]);
+        mix(w.seq);
         mix(w.wgIndex);
         mix(w.launchIndex);
         mix(w.memSeq);

@@ -1,7 +1,7 @@
 /**
  * @file
- * One GCN3-like compute unit: up to 40 resident wavefronts scheduled
- * oldest-first, one issue slot per CU cycle, workgroup barriers, and
+ * One GCN3-like compute unit: up to maxWaveSlotsPerCu (64) resident
+ * wavefronts scheduled oldest-first, one issue slot per CU cycle, workgroup barriers, and
  * the per-epoch instrumentation every estimation model consumes
  * (stall time, leading loads, in-flight-load interval union, overlap).
  *
@@ -10,7 +10,7 @@
  * pointers, so GpuChip snapshots are plain copies.
  *
  * Layout: the scheduling-hot per-wave fields are stored SoA
- * (wstate_/readyAt_/seq_) next to one 64-bit word per wave-state set
+ * (wstate_/readyAt_) next to one 64-bit word per wave-state set
  * (a CU has at most maxWaveSlotsPerCu slots), so the per-tick scans
  * (wake, sleep classification) walk one word and a few contiguous
  * arrays instead of striding through the cold Wavefront records.
@@ -336,9 +336,6 @@ class alignas(64) ComputeUnit
     std::vector<WaveState> wstate_;
     /** For Busy: when the wave can issue again. For WaitMem: wake. */
     std::vector<Tick> readyAt_;
-    /** Dispatch order within the CU; byAge_ lists the resident slots
-     *  in this order. */
-    std::vector<std::uint64_t> seq_;
     /** Slots in Busy or WaitMem (have a pending wake in readyAt_). */
     std::uint64_t pendMask_ = 0;
     /** Slots in WaitMem only (far wakes). The per-cycle wake scan
@@ -349,7 +346,8 @@ class alignas(64) ComputeUnit
     std::uint64_t occMask_ = 0;
 
     // --- Age order of the resident waves. Derived state: it is the
-    // occupied slots sorted by seq_, so fingerprint() skips it. ---
+    // occupied slots sorted by Wavefront::seq, so fingerprint() skips
+    // it. ---
     /** byAge_[p]: slot of the wave with age rank p (0 = oldest). */
     std::array<std::uint8_t, maxWaveSlotsPerCu> byAge_{};
     /** agePos_[slot]: the resident wave's age rank. */

@@ -50,9 +50,9 @@ struct PendingMem
 
 /**
  * Cold per-wavefront state. The scheduling-hot fields every per-tick
- * scan reads - state, wake tick and dispatch order - live in SoA
- * arrays inside ComputeUnit (wstate_/readyAt_/seq_ plus one-word
- * wave-state masks), so scans touch a few cache lines
+ * scan reads - state, wake tick and age order - live in SoA arrays
+ * inside ComputeUnit (wstate_/readyAt_ plus one-word wave-state
+ * masks over slots and age positions), so scans touch a few cache lines
  * instead of striding through these ~200-byte records. A Wavefront
  * is only loaded when its wave actually issues, wakes or harvests.
  */
@@ -70,6 +70,9 @@ struct Wavefront
 
     /** Unique id across the whole run (address-stream seed). */
     std::uint64_t globalId = 0;
+    /** Dispatch order within the CU. ComputeUnit keeps its resident
+     *  waves in this order, so scheduling never reads it. */
+    std::uint64_t seq = 0;
     /** Index of the wave's resident workgroup within its CU. */
     std::uint32_t wgIndex = 0;
     /** Which application launch this wave belongs to. */
@@ -108,6 +111,7 @@ struct Wavefront
         loopTrips.clear();
         loopTripsInit.clear();
         globalId = 0;
+        seq = 0;
         wgIndex = 0;
         launchIndex = 0;
         memSeq = 0;
