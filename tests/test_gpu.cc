@@ -771,8 +771,12 @@ runAppDigests(const std::shared_ptr<const isa::Application> &app,
     return run;
 }
 
-/** A 64-CU workload and a team size. */
-using TeamCase = std::tuple<const char *, unsigned>;
+/**
+ * A 64-CU workload and a team size. The name is a std::string so that
+ * gtest prints the parameter as ("comd", 1), not as a load address,
+ * and the test names stay the same from one build to the next.
+ */
+using TeamCase = std::tuple<std::string, unsigned>;
 
 class TeamDeterminism : public ::testing::TestWithParam<TeamCase>
 {
@@ -786,9 +790,9 @@ TEST_P(TeamDeterminism, MatchesTheSerialLoopEveryEpoch)
     // lulesh's 27 launches, BwdPool's uniform waves (many workgroups
     // finish together) and hacc's 8-wave workgroups.
     const auto [workload, threads] = GetParam();
-    const GoldenRun serial = runDigests(workload, 60, nullptr);
+    const GoldenRun serial = runDigests(workload.c_str(), 60, nullptr);
     CuTeam team(threads);
-    const GoldenRun parallel = runDigests(workload, 60, &team);
+    const GoldenRun parallel = runDigests(workload.c_str(), 60, &team);
     EXPECT_EQ(parallel.fingerprints, serial.fingerprints);
     EXPECT_EQ(parallel.records, serial.records);
     EXPECT_GT(team.stats.windowsParallel, 0u);
@@ -800,7 +804,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          "BwdPool", "hacc"),
                        ::testing::Values(1u, 2u, 4u)),
     [](const ::testing::TestParamInfo<TeamCase> &info) {
-        return std::string(std::get<0>(info.param)) + "_" +
+        return std::get<0>(info.param) + "_" +
             std::to_string(std::get<1>(info.param)) + "threads";
     });
 
