@@ -44,7 +44,7 @@ constexpr Variant kVariants[] = {
     {"PCSTALL+WD", "PCSTALL", true},
 };
 
-/** A sweep cell for one (variant, fault config) with trace on. */
+/** A sweep cell for one (variant, fault config). */
 bench::SweepCell
 faultCell(const bench::SweepRunner &runner, const std::string &name,
           const Variant &variant, const faults::FaultConfig &faults)
@@ -52,21 +52,20 @@ faultCell(const bench::SweepRunner &runner, const std::string &name,
     bench::SweepCell c = runner.cell(name, variant.design);
     c.opts.faults = faults;
     c.opts.watchdog = variant.watchdog;
-    c.opts.collectTrace = true;
     return c;
 }
 
-/** Every V/f state a run's trace emitted is a legal table index. */
+/**
+ * Every V/f state a run emitted is a legal table index. The ledger
+ * looks each CU's applied state up in the bounds-checked V/f table on
+ * every epoch, so an illegal state throws and fails its cell (and,
+ * through the sweep's failure tally, the process); a run that
+ * finished accounted its residency over exactly the table's states.
+ */
 bool
 statesLegal(const sim::RunResult &r, std::size_t num_states)
 {
-    for (const sim::EpochTraceEntry &e : r.trace) {
-        for (const std::uint8_t s : e.domainState) {
-            if (s >= num_states)
-                return false;
-        }
-    }
-    return true;
+    return r.freqTimeShare.size() == num_states;
 }
 
 } // namespace

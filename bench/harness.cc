@@ -275,7 +275,7 @@ BenchOptions::flags(std::vector<CliFlag> extra)
         {"pc-snapshot-out", "PATH"}, {"pc-snapshot-in", "PATH"},
         {"trace-cache", "DIR"}, {"trace-what-if", ""},
         {"progress", ""},
-        {"store", "DIR"}, {"resume", ""}, {"shard", "I/N"},
+        {"store", "DIR"}, {"shard", "I/N"},
         {"cell-timeout", "S"}, {"cell-retries", "N"},
         {"metrics-out", "FILE"}, {"timeline-out", "FILE"},
         {"csv-out", "FILE"}, {"verbose", ""}, {"log-level", "LEVEL"},
@@ -379,12 +379,6 @@ BenchOptions::parse(const CliOptions &cli)
     // a malformed value is warned about through cli.noteError() and
     // the flag reverts to its default, never aborting the run.
     opts.storeDir = cli.get("store", "");
-    opts.resume = cli.has("resume");
-    if (opts.resume && opts.storeDir.empty()) {
-        cli.noteError("--resume: requires --store DIR "
-                      "(nothing to resume from)");
-        opts.resume = false;
-    }
     const std::string shard = cli.get("shard", "");
     if (!shard.empty()) {
         unsigned index = 0;
@@ -508,7 +502,6 @@ BenchOptions::runConfig() const
     cfg.eccProtectTables = ecc;
     cfg.objective = objective;
     cfg.perfDegradationLimit = perfDegradationLimit;
-    cfg.collectTrace = collectTrace;
     cfg.auditRegret = auditRegret;
     cfg.oracleThreads = oracleThreads;
     cfg.cuThreads = cuThreadCount();

@@ -92,8 +92,6 @@ struct BenchOptions
     dvfs::Objective objective = dvfs::Objective::Ed2p;
     /** For the EnergyUnderPerfBound objective. */
     double perfDegradationLimit = 0.05;
-    /** Collect the per-epoch trace in RunResult (harness-set). */
-    bool collectTrace = false;
     /**
      * Capture every run routed through runTraced() to a binary epoch
      * trace (--trace-out). "{w}"/"{c}" expand to the workload and
@@ -172,9 +170,6 @@ struct BenchOptions
      * cells. Empty = no checkpointing.
      */
     std::string storeDir;
-    /** --resume: assert store-backed resume semantics (requires
-     *  --store; informs how many cells were reused). */
-    bool resume = false;
     /** Shard this worker owns (--shard i/N): only cells with
      *  index % shardCount == shardIndex run; the rest are marked
      *  skipped. shardCount <= 1 = unsharded. */

@@ -189,14 +189,6 @@ resultFingerprint(const sim::RunResult &r)
     mix(r.freqTimeShare.size());
     for (double v : r.freqTimeShare)
         mix(doubleBits(v));
-    mix(r.trace.size());
-    for (const sim::EpochTraceEntry &e : r.trace) {
-        mix(static_cast<std::uint64_t>(e.start));
-        for (std::uint8_t s : e.domainState)
-            mix(s);
-        for (double v : e.domainCommitted)
-            mix(doubleBits(v));
-    }
     return h;
 }
 

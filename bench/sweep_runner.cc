@@ -27,9 +27,9 @@ simConfigFingerprint(const BenchOptions &opts)
     key << opts.cus << '|' << opts.scale << '|' << opts.epochLen << '|'
         << opts.cusPerDomain << '|' << opts.seed << '|'
         << static_cast<int>(opts.objective) << '|'
-        << opts.perfDegradationLimit << '|' << opts.collectTrace << '|'
-        << opts.watchdog << '|' << opts.ecc << '|' << opts.faults.seed
-        << '|' << opts.faults.telemetry.enabled << '|'
+        << opts.perfDegradationLimit << '|' << opts.watchdog << '|'
+        << opts.ecc << '|' << opts.faults.seed << '|'
+        << opts.faults.telemetry.enabled << '|'
         << opts.faults.telemetry.sigma << '|'
         << opts.faults.telemetry.dropoutProb << '|'
         << opts.faults.dvfs.enabled << '|'

@@ -5,10 +5,11 @@
  * print the leaderboard (see docs/controllers.md).
  *
  * The grid runs through SweepRunner, so the farm flags compose:
- * --store checkpoints cells for crash-resume, --shard i/N splits the
- * grid across workers, --threads N parallelizes, --trace-cache DIR
- * replays previously captured cells (docs/replay_studies.md) - all
- * with the leaderboard byte-identical to a serial run.
+ * --store checkpoints cells so a crashed run restarts where it
+ * stopped, --shard i/N splits the grid across workers, --threads N
+ * parallelizes, --trace-cache DIR replays previously captured cells
+ * (docs/replay_studies.md) - all with the leaderboard byte-identical
+ * to a serial run.
  * --controllers a,b and --objectives edp,ed2p subset the grid;
  * --leaderboard-json FILE additionally writes the machine-readable
  * document.

@@ -1,7 +1,10 @@
 /**
  * @file
  * Bring-your-own-workload: author a kernel in the text format, run it
- * under PCSTALL, and export per-epoch traces as CSV for plotting.
+ * under PCSTALL, and export its per-epoch trace as CSV for plotting.
+ * The run is captured as an epoch trace (trace::TraceCapture,
+ * docs/trace_format.md) and exported with trace::writeEpochCsv, the
+ * same CSV `trace_inspect csv` writes for a recorded trace.
  *
  * Usage:
  *   custom_workload                          # built-in demo kernel
@@ -12,14 +15,19 @@
  */
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
+
+#include <unistd.h>
 
 #include "common/logging.hh"
 #include "common/cli.hh"
 #include "core/pcstall_controller.hh"
 #include "sim/experiment.hh"
-#include "sim/trace_export.hh"
+#include "trace/epoch_csv.hh"
+#include "trace/format.hh"
 #include "workloads/kernel_parser.hh"
 #include "workloads/kernel_writer.hh"
 #include "workloads/workloads.hh"
@@ -97,7 +105,6 @@ try {
 
     sim::RunConfig cfg;
     cfg.gpu.numCus = static_cast<std::uint32_t>(cli.getInt("cus", 8));
-    cfg.collectTrace = true;
     cfg.scaled();
     sim::ExperimentDriver driver(cfg);
 
@@ -110,7 +117,23 @@ try {
 
     core::PcstallController pcstall(
         core::PcstallConfig::forEpoch(cfg.epochLen), cfg.gpu.numCus);
-    const sim::RunResult r = driver.run(app, pcstall);
+    // Capture the PCSTALL run to a scratch trace file and read it back.
+    const std::string trace_path =
+        (std::filesystem::temp_directory_path() /
+         ("custom_workload-" + std::to_string(::getpid()) + ".pctrace"))
+            .string();
+    trace::TraceWriter writer(
+        trace_path,
+        trace::makeTraceMeta(cfg, driver.table(), app->name, pcstall));
+    trace::TraceCapture capture(writer);
+    const sim::RunResult r = driver.run(app, pcstall, &capture);
+    const trace::TraceReadResult read = trace::readTraceFile(trace_path);
+    std::filesystem::remove(trace_path);
+    if (!read.ok()) {
+        std::fprintf(stderr, "cannot capture the run: %s\n",
+                     read.error.c_str());
+        return 1;
+    }
 
     std::printf("  static 1.7 GHz: %7.1f us, %8.4f mJ (ED2P %.3e)\n",
                 base.seconds() * 1e6, base.energy * 1e3, base.ed2p());
@@ -123,14 +146,16 @@ try {
 
     const std::string csv = cli.get("trace-csv", "");
     if (!csv.empty()) {
-        if (sim::writeRunTraceCsvFile(csv, r, driver.table()))
+        std::ofstream os(csv);
+        trace::writeEpochCsv(os, *read.trace);
+        if (os.flush())
             std::printf("  trace written to %s\n", csv.c_str());
         else
             std::fprintf(stderr, "cannot write %s\n", csv.c_str());
     } else {
         // Show the first few trace rows inline.
         std::ostringstream os;
-        sim::writeRunTraceCsv(os, r, driver.table());
+        trace::writeEpochCsv(os, *read.trace);
         std::istringstream is(os.str());
         std::string line;
         std::printf("\ntrace preview (--trace-csv FILE for all):\n");

@@ -125,21 +125,6 @@ EpochLedger::observeEpoch(const gpu::EpochRecord &record,
         residencyMetric[domainState[d]]->add(1);
     }
     domainEpochs += domainMap.numDomains();
-
-    if (cfg.collectTrace) {
-        EpochTraceEntry entry;
-        entry.start = epoch_start;
-        for (std::uint32_t d = 0; d < domainMap.numDomains(); ++d) {
-            entry.domainState.push_back(
-                static_cast<std::uint8_t>(domainState[d]));
-            entry.domainCommitted.push_back(dvfs::sumOverDomain(
-                domainMap, d, [&](std::uint32_t cu) {
-                    return static_cast<double>(
-                        record.cus[cu].committed);
-                }));
-        }
-        traceEntries.push_back(std::move(entry));
-    }
 }
 
 dvfs::EpochContext
@@ -308,8 +293,6 @@ EpochLedger::traceEpochFaults(const faults::FaultInjector::Totals &base,
     fc.tableBitFlips = now.tableBitFlips - base.tableBitFlips;
     fc.clampedDecisions = lastClamped_;
     fc.fallbackActive = fallback_active;
-    if (cfg.collectTrace && !traceEntries.empty())
-        traceEntries.back().faults = lastFaults_;
     // The driver detects fallback from the controller's counters -
     // authoritative even for controllers that never touch the audit.
     if (auditEnabled_ && pendingValid_ && fallback_active)
@@ -336,7 +319,6 @@ EpochLedger::finalize(RunResult &result, bool completed,
             share /= static_cast<double>(domainEpochs);
     }
     result.finalTemperature = thermal.temperature();
-    result.trace = std::move(traceEntries);
 
     if (auditEnabled_) {
         // A decision whose epoch never completed (simulation wall,

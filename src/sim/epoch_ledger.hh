@@ -3,8 +3,8 @@
  * Per-run bookkeeping shared by the live ExperimentDriver and the
  * trace replay engine (trace::ReplayDriver): prediction-accuracy
  * scoring, energy/thermal accounting, the running averages consumed by
- * the marginal objectives, frequency residency, per-epoch trace
- * entries, and the decision-sanitize/apply step.
+ * the marginal objectives, frequency residency, and the
+ * decision-sanitize/apply step.
  *
  * Both drivers funnel every piece of metric arithmetic through this
  * class in the same order, so replaying a captured trace reproduces
@@ -39,8 +39,7 @@ class EpochLedger
     /**
      * Account one harvested epoch: score the previous epoch's
      * predictions, accumulate energy and thermal state, update the
-     * running averages, frequency residency and (when
-     * RunConfig::collectTrace) the per-epoch trace entry.
+     * running averages and frequency residency.
      *
      * @param record   The physical epoch record (energy/accuracy).
      * @param observed What the controller sees (may carry telemetry
@@ -76,8 +75,7 @@ class EpochLedger
 
     /**
      * Compute this epoch's fault counters from the injector deltas
-     * (exposed via lastEpochFaults(); also copied into the newest
-     * trace entry when collecting one). Call after applyDecisions()
+     * (exposed via lastEpochFaults()). Call after applyDecisions()
      * with the totals snapshot taken before the epoch's first
      * injector use.
      */
@@ -146,7 +144,6 @@ class EpochLedger
     std::vector<double> freqShare;
     std::uint64_t domainEpochs = 0;
 
-    std::vector<EpochTraceEntry> traceEntries;
     gpu::FaultEpochCounters lastFaults_;
 
     // --- decision provenance (docs/provenance.md) -----------------

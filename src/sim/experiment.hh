@@ -59,8 +59,6 @@ struct RunConfig
      * means "derive from the epoch length" (paper Section 5).
      */
     Tick transitionLatency = -1;
-    /** Record a per-epoch trace (frequency residency, work). */
-    bool collectTrace = false;
     /** Fault injection (all classes disabled by default). */
     faults::FaultConfig faults;
     /** Enable the PCSTALL divergence watchdog (STALL fallback). */
@@ -106,18 +104,6 @@ struct RunConfig
         scaleToCus(gpu, power, gpu.numCus);
         return *this;
     }
-};
-
-/** Per-epoch trace entry (when RunConfig::collectTrace is set). */
-struct EpochTraceEntry
-{
-    Tick start = 0;
-    /** Chosen V/f state per domain for the epoch. */
-    std::vector<std::uint8_t> domainState;
-    /** Instructions committed per domain in the epoch. */
-    std::vector<double> domainCommitted;
-    /** Injected faults / repairs observed this epoch. */
-    gpu::FaultEpochCounters faults;
 };
 
 /** Lifetime fault/degradation counters of one run. */
@@ -170,7 +156,6 @@ struct RunResult
     double finalTemperature = 0.0;
     /** Injected-fault / graceful-degradation totals. */
     FaultSummary faults;
-    std::vector<EpochTraceEntry> trace;
     /** Per-decision regret rollup (empty unless RunConfig::auditRegret
      *  or a provenance sink was set; see docs/provenance.md). */
     obs::RegretSummary regret;

@@ -44,30 +44,6 @@ decodeFaultSummary(Cursor &cur, sim::FaultSummary &fs)
 }
 
 void
-encodeEpochFaults(std::string &out, const gpu::FaultEpochCounters &fc)
-{
-    putVarint(out, fc.telemetryPerturbations);
-    putVarint(out, fc.telemetryDropouts);
-    putVarint(out, fc.transitionFailures);
-    putZigzag(out, fc.transitionExtraLatency);
-    putVarint(out, fc.tableBitFlips);
-    putVarint(out, fc.clampedDecisions);
-    putBool(out, fc.fallbackActive);
-}
-
-void
-decodeEpochFaults(Cursor &cur, gpu::FaultEpochCounters &fc)
-{
-    fc.telemetryPerturbations = cur.varint();
-    fc.telemetryDropouts = cur.varint();
-    fc.transitionFailures = cur.varint();
-    fc.transitionExtraLatency = cur.zigzag();
-    fc.tableBitFlips = cur.varint();
-    fc.clampedDecisions = cur.varint();
-    fc.fallbackActive = cur.getBool();
-}
-
-void
 encodeRegretSummary(std::string &out, const obs::RegretSummary &rs)
 {
     putVarint(out, rs.count);
@@ -115,17 +91,6 @@ encodeRunResult(std::string &out, const sim::RunResult &r)
         putDouble(out, v);
     putDouble(out, r.finalTemperature);
     encodeFaultSummary(out, r.faults);
-    putVarint(out, r.trace.size());
-    for (const sim::EpochTraceEntry &e : r.trace) {
-        putZigzag(out, e.start);
-        putVarint(out, e.domainState.size());
-        for (const std::uint8_t s : e.domainState)
-            out.push_back(static_cast<char>(s));
-        putVarint(out, e.domainCommitted.size());
-        for (const double v : e.domainCommitted)
-            putDouble(out, v);
-        encodeEpochFaults(out, e.faults);
-    }
     encodeRegretSummary(out, r.regret);
 }
 
@@ -150,28 +115,6 @@ decodeRunResult(Cursor &cur, sim::RunResult &r)
         v = cur.getDouble();
     r.finalTemperature = cur.getDouble();
     decodeFaultSummary(cur, r.faults);
-    const std::uint64_t entries = cur.varint();
-    // Each entry costs >= 10 bytes on the wire; bound the allocation
-    // by the bytes actually present so corrupt counts cannot balloon.
-    if (cur.failed() || entries > cur.remaining() / 10)
-        return false;
-    r.trace.resize(entries);
-    for (sim::EpochTraceEntry &e : r.trace) {
-        e.start = cur.zigzag();
-        const std::uint64_t states = cur.varint();
-        if (cur.failed() || states > cur.remaining())
-            return false;
-        e.domainState.resize(states);
-        for (std::uint8_t &s : e.domainState)
-            s = cur.u8();
-        const std::uint64_t committed = cur.varint();
-        if (cur.failed() || committed > cur.remaining() / 8)
-            return false;
-        e.domainCommitted.resize(committed);
-        for (double &v : e.domainCommitted)
-            v = cur.getDouble();
-        decodeEpochFaults(cur, e.faults);
-    }
     if (!decodeRegretSummary(cur, r.regret))
         return false;
     return !cur.failed();

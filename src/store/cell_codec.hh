@@ -1,7 +1,7 @@
 /**
  * @file
  * Wire codec for checkpointed sweep cells: the full sim::RunResult
- * (including the per-epoch trace and fault summary), the outcome
+ * (including the fault summary and regret rollup), the outcome
  * status, and the cell's deterministic metrics shard.
  *
  * Fidelity is the contract: every field round-trips exactly - doubles
@@ -25,8 +25,10 @@ namespace pcstall::store
 {
 
 /** Payload codec version (inside the PCRS entry; see result_store).
- *  v2 added the RunResult regret summary (obs::RegretSummary). */
-inline constexpr std::uint16_t cellCodecVersion = 2;
+ *  v2 added the RunResult regret summary (obs::RegretSummary); v3
+ *  dropped the per-epoch trace entries (the PCTR epoch trace is the
+ *  one per-epoch record). */
+inline constexpr std::uint16_t cellCodecVersion = 3;
 
 /** A checkpointed run outcome (mirrors bench::RunOutcome). */
 struct StoredRun

@@ -38,7 +38,7 @@ hex64(std::uint64_t v)
 /**
  * Test hook: PCSTALL_TEST_CRASH_AFTER_PUTS=K SIGKILLs the process
  * right after the K-th successful checkpoint, giving the
- * kill-and-resume tests a deterministic mid-sweep crash point (a real
+ * kill-and-restart tests a deterministic mid-sweep crash point (a real
  * SIGKILL: no handlers, no unwinding, exactly like an OOM kill).
  *
  * When the hook is armed, entry publication serializes on

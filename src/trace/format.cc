@@ -66,7 +66,9 @@ encodeMeta(const TraceMeta &meta)
     putVarint(out, meta.nominalFreq);
     putZigzag(out, meta.maxSimTime);
     putZigzag(out, meta.transitionLatency);
-    putBool(out, meta.collectTrace);
+    // Reserved byte, once a per-run trace-collection flag: written as
+    // 0 and ignored on read, so the META layout is unchanged.
+    out.push_back('\0');
     putBool(out, meta.watchdogFallback);
     putBool(out, meta.eccProtectTables);
 
@@ -119,7 +121,7 @@ decodeMeta(Cursor &cur, TraceMeta &meta)
     meta.nominalFreq = cur.varint();
     meta.maxSimTime = cur.zigzag();
     meta.transitionLatency = cur.zigzag();
-    meta.collectTrace = cur.getBool();
+    cur.u8(); // reserved (see encodeMeta)
     meta.watchdogFallback = cur.getBool();
     meta.eccProtectTables = cur.getBool();
 
@@ -458,7 +460,6 @@ makeTraceMeta(const sim::RunConfig &config, const power::VfTable &table,
     meta.nominalFreq = config.nominalFreq;
     meta.maxSimTime = config.maxSimTime;
     meta.transitionLatency = config.transitionLatency;
-    meta.collectTrace = config.collectTrace;
     meta.watchdogFallback = config.watchdogFallback;
     meta.eccProtectTables = config.eccProtectTables;
     meta.power = config.power;
@@ -483,12 +484,21 @@ runConfigFromMeta(const TraceMeta &meta)
     cfg.nominalFreq = meta.nominalFreq;
     cfg.maxSimTime = meta.maxSimTime;
     cfg.transitionLatency = meta.transitionLatency;
-    cfg.collectTrace = meta.collectTrace;
     cfg.watchdogFallback = meta.watchdogFallback;
     cfg.eccProtectTables = meta.eccProtectTables;
     cfg.power = meta.power;
     cfg.faults = meta.faults;
     return cfg;
+}
+
+int
+TraceMeta::stateOf(Freq freq) const
+{
+    for (std::size_t i = 0; i < vfStates.size(); ++i) {
+        if (vfStates[i].freq == freq)
+            return static_cast<int>(i);
+    }
+    return -1;
 }
 
 power::VfTable

@@ -83,7 +83,6 @@ struct TraceMeta
     Freq nominalFreq = 0;
     Tick maxSimTime = 0;
     Tick transitionLatency = -1;
-    bool collectTrace = false;
     bool watchdogFallback = false;
     bool eccProtectTables = false;
     power::PowerParams power;
@@ -96,6 +95,9 @@ struct TraceMeta
     {
         return cusPerDomain == 0 ? 0 : numCus / cusPerDomain;
     }
+
+    /** Index of @p freq in @ref vfStates (-1 when absent). */
+    int stateOf(Freq freq) const;
 };
 
 /** One decision of the captured controller, post-sanitize. */

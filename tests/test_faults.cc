@@ -7,6 +7,7 @@
 
 #include "core/pcstall_controller.hh"
 #include "dvfs/controller.hh"
+#include "epoch_recorder.hh"
 #include "faults/fault_injector.hh"
 #include "isa/kernel_builder.hh"
 #include "predict/pc_table.hh"
@@ -481,7 +482,6 @@ TEST(FaultEndToEnd, DisabledFaultSeedDoesNotChangeResults)
 TEST(FaultEndToEnd, HeavyNoiseRunStaysLegalAndFallsBack)
 {
     sim::RunConfig cfg = smallConfig();
-    cfg.collectTrace = true;
     cfg.watchdogFallback = true;
     cfg.eccProtectTables = true;
     cfg.faults.telemetry.enabled = true;
@@ -500,12 +500,13 @@ TEST(FaultEndToEnd, HeavyNoiseRunStaysLegalAndFallsBack)
     core::PcstallController controller(pcfg, cfg.gpu.numCus);
 
     sim::ExperimentDriver driver(cfg);
-    const sim::RunResult r = driver.run(loopApp(), controller);
+    test::EpochRecorder recorder(driver);
+    const sim::RunResult r = driver.run(loopApp(), controller, &recorder);
 
     EXPECT_TRUE(r.completed);
-    ASSERT_FALSE(r.trace.empty());
-    for (const auto &e : r.trace) {
-        for (const std::uint8_t s : e.domainState)
+    ASSERT_EQ(recorder.epochs.size(), r.epochs);
+    for (const test::AppliedEpoch &e : recorder.epochs) {
+        for (const std::size_t s : e.state)
             EXPECT_LT(s, driver.table().numStates());
     }
     EXPECT_GT(r.faults.telemetryPerturbations, 0u);

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "epoch_recorder.hh"
 #include "gpu/gpu_chip.hh"
 #include "harness.hh"
 #include "oracle/fork_pre_execute.hh"
@@ -95,16 +96,25 @@ smallOpts()
     bench::BenchOptions opts;
     opts.cus = 4;
     opts.scale = 0.125;
-    opts.collectTrace = true;
     return opts;
 }
 
-/** Exact field-by-field RunResult comparison (no tolerances). */
+/** A run's result and its per-epoch record. */
+struct RecordedRun
+{
+    sim::RunResult result;
+    std::vector<test::AppliedEpoch> epochs;
+};
+
+/** Exact field-by-field and epoch-by-epoch comparison (no
+ *  tolerances). */
 void
-expectIdenticalResults(const sim::RunResult &a, const sim::RunResult &b,
-                       const std::string &what)
+expectIdenticalRuns(const RecordedRun &ra, const RecordedRun &rb,
+                    const std::string &what)
 {
     SCOPED_TRACE(what);
+    const sim::RunResult &a = ra.result;
+    const sim::RunResult &b = rb.result;
     EXPECT_EQ(a.completed, b.completed);
     EXPECT_EQ(a.epochs, b.epochs);
     EXPECT_EQ(a.execTime, b.execTime);
@@ -115,16 +125,10 @@ expectIdenticalResults(const sim::RunResult &a, const sim::RunResult &b,
     EXPECT_EQ(a.transitionEnergy, b.transitionEnergy);
     EXPECT_EQ(a.freqTimeShare, b.freqTimeShare);
     EXPECT_EQ(a.finalTemperature, b.finalTemperature);
-    ASSERT_EQ(a.trace.size(), b.trace.size());
-    for (std::size_t i = 0; i < a.trace.size(); ++i) {
-        EXPECT_EQ(a.trace[i].start, b.trace[i].start);
-        EXPECT_EQ(a.trace[i].domainState, b.trace[i].domainState);
-        EXPECT_EQ(a.trace[i].domainCommitted,
-                  b.trace[i].domainCommitted);
-    }
+    test::expectSameEpochs(ra.epochs, rb.epochs);
 }
 
-sim::RunResult
+RecordedRun
 runCell(const std::string &workload, const std::string &controller,
         unsigned oracle_threads)
 {
@@ -135,7 +139,9 @@ runCell(const std::string &workload, const std::string &controller,
     cfg.oracleThreads = oracle_threads;
     sim::ExperimentDriver driver(cfg);
     const auto ctrl = bench::makeController(controller, cfg);
-    return driver.run(app, *ctrl);
+    test::EpochRecorder recorder(driver);
+    sim::RunResult result = driver.run(app, *ctrl, &recorder);
+    return {std::move(result), std::move(recorder.epochs)};
 }
 
 /** Exact AccurateEstimates comparison. */
@@ -179,7 +185,7 @@ TEST(PerfPath, OracleThreadCountDoesNotChangeResults)
 {
     const auto serial = runCell("comd", "ACCPC", 1);
     const auto threaded = runCell("comd", "ACCPC", 4);
-    expectIdenticalResults(serial, threaded, "threads 1 vs 4");
+    expectIdenticalRuns(serial, threaded, "threads 1 vs 4");
 }
 
 TEST(PerfPath, ParallelSweepMatchesSerialSweep)

@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <memory>
 
 #include "core/pcstall_controller.hh"
+#include "epoch_recorder.hh"
 #include "isa/kernel_builder.hh"
 #include "models/reactive_controller.hh"
 #include "sim/experiment.hh"
 #include "sim/profiler.hh"
 #include "dvfs/hierarchical.hh"
-#include "sim/trace_export.hh"
+#include "trace/epoch_csv.hh"
 
 #include <algorithm>
 #include <sstream>
@@ -128,18 +132,18 @@ TEST(ExperimentDriver, PcstallRunsAndPredictsWell)
 
 TEST(ExperimentDriver, TraceCollectsPerEpochStates)
 {
-    RunConfig cfg = smallConfig();
-    cfg.collectTrace = true;
-    ExperimentDriver driver(cfg);
+    ExperimentDriver driver(smallConfig());
     dvfs::StaticController c(3);
-    const RunResult r = driver.run(loopApp(false), c);
-    ASSERT_EQ(r.trace.size(), r.epochs);
+    test::EpochRecorder recorder(driver);
+    const RunResult r = driver.run(loopApp(false), c, &recorder);
+    const auto &epochs = recorder.epochs;
+    ASSERT_EQ(epochs.size(), r.epochs);
     // The first epoch runs at the nominal state (decisions apply from
     // the second epoch on).
-    EXPECT_EQ(r.trace.front().domainState[0], driver.nominalState());
-    for (std::size_t i = 1; i < r.trace.size(); ++i) {
-        ASSERT_EQ(r.trace[i].domainState.size(), 2u);
-        EXPECT_EQ(r.trace[i].domainState[0], 3);
+    EXPECT_EQ(epochs.front().state[0], driver.nominalState());
+    for (std::size_t i = 1; i < epochs.size(); ++i) {
+        ASSERT_EQ(epochs[i].state.size(), 2u);
+        EXPECT_EQ(epochs[i].state[0], 3u);
     }
 }
 
@@ -247,14 +251,21 @@ TEST(ExperimentDriver, TransitionsAreCountedAndCharged)
 
 TEST(TraceExport, RunTraceCsvRoundTrips)
 {
-    RunConfig cfg = smallConfig();
-    cfg.collectTrace = true;
+    const RunConfig cfg = smallConfig();
     ExperimentDriver driver(cfg);
     dvfs::StaticController c(3);
-    const RunResult r = driver.run(loopApp(false), c);
+    const std::string path = ::testing::TempDir() + "pcstall_sim_" +
+        std::to_string(static_cast<long>(::getpid())) + ".pctrace";
+    trace::TraceWriter writer(
+        path, trace::makeTraceMeta(cfg, driver.table(), "comp", c));
+    trace::TraceCapture capture(writer);
+    const RunResult r = driver.run(loopApp(false), c, &capture);
+    const trace::TraceReadResult read = trace::readTraceFile(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(read.ok()) << read.error;
 
     std::ostringstream os;
-    writeRunTraceCsv(os, r, driver.table());
+    trace::writeEpochCsv(os, *read.trace);
     const std::string csv = os.str();
     EXPECT_NE(csv.find("epoch_us,domain,state,freq_ghz,committed"),
               std::string::npos);
@@ -263,38 +274,8 @@ TEST(TraceExport, RunTraceCsvRoundTrips)
     const std::size_t lines =
         static_cast<std::size_t>(std::count(csv.begin(), csv.end(),
                                             '\n'));
-    EXPECT_EQ(lines, 2 + r.trace.size() * 2);
+    EXPECT_EQ(lines, 2 + r.epochs * 2);
     EXPECT_NE(csv.find(",1.6,"), std::string::npos); // state 3
-}
-
-TEST(TraceExport, ProfileCsvHasAllEpochs)
-{
-    ProfileConfig cfg;
-    cfg.gpu.numCus = 2;
-    cfg.gpu.waveSlotsPerCu = 8;
-    cfg.maxEpochs = 3;
-    SensitivityProfiler profiler(cfg);
-    const ProfileResult profile = profiler.profile(loopApp(false));
-
-    std::ostringstream os;
-    writeProfileCsv(os, profile);
-    const std::string csv = os.str();
-    EXPECT_EQ(csv.rfind("# pcstall-profile-csv v", 0), 0u);
-    const std::size_t lines =
-        static_cast<std::size_t>(std::count(csv.begin(), csv.end(),
-                                            '\n'));
-    EXPECT_EQ(lines, 2 + profile.epochs.size() * 2);
-
-    std::ostringstream wos;
-    writeWaveProfileCsv(wos, profile);
-    EXPECT_NE(wos.str().find("start_pc_addr"), std::string::npos);
-}
-
-TEST(TraceExport, FileWriteFailsGracefully)
-{
-    RunResult r;
-    EXPECT_FALSE(writeRunTraceCsvFile("/nonexistent/dir/x.csv", r,
-                                      power::VfTable::paperTable()));
 }
 
 TEST(ScaleToCus, ProportionalMemorySystem)

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "epoch_recorder.hh"
 #include "gpu/gpu_chip.hh"
 #include "harness.hh"
 #include "oracle/snapshot_pool.hh"
@@ -33,16 +34,25 @@ smallOpts()
     bench::BenchOptions opts;
     opts.cus = 4;
     opts.scale = 0.125;
-    opts.collectTrace = true;
     return opts;
 }
 
-/** Exact field-by-field RunResult comparison (no tolerances). */
+/** A run's result and its per-epoch record. */
+struct RecordedRun
+{
+    sim::RunResult result;
+    std::vector<test::AppliedEpoch> epochs;
+};
+
+/** Exact field-by-field and epoch-by-epoch comparison (no
+ *  tolerances). */
 void
-expectIdenticalResults(const sim::RunResult &a, const sim::RunResult &b,
-                       const std::string &what)
+expectIdenticalRuns(const RecordedRun &ra, const RecordedRun &rb,
+                    const std::string &what)
 {
     SCOPED_TRACE(what);
+    const sim::RunResult &a = ra.result;
+    const sim::RunResult &b = rb.result;
     EXPECT_EQ(a.completed, b.completed);
     EXPECT_EQ(a.epochs, b.epochs);
     EXPECT_EQ(a.execTime, b.execTime);
@@ -56,18 +66,12 @@ expectIdenticalResults(const sim::RunResult &a, const sim::RunResult &b,
     EXPECT_EQ(a.faults.tableBitFlips, b.faults.tableBitFlips);
     EXPECT_EQ(a.faults.tableScrubs, b.faults.tableScrubs);
     EXPECT_EQ(a.faults.transitionFailures, b.faults.transitionFailures);
-    ASSERT_EQ(a.trace.size(), b.trace.size());
-    for (std::size_t i = 0; i < a.trace.size(); ++i) {
-        EXPECT_EQ(a.trace[i].start, b.trace[i].start);
-        EXPECT_EQ(a.trace[i].domainState, b.trace[i].domainState);
-        EXPECT_EQ(a.trace[i].domainCommitted,
-                  b.trace[i].domainCommitted);
-    }
+    test::expectSameEpochs(ra.epochs, rb.epochs);
 }
 
 /** An ACCPC cell on comd under @p faults with parity-protected PC
  *  tables, its oracle samples spread over @p oracle_threads. */
-sim::RunResult
+RecordedRun
 runEccCell(const faults::FaultConfig &faults, unsigned oracle_threads)
 {
     const bench::BenchOptions opts = smallOpts();
@@ -79,7 +83,9 @@ runEccCell(const faults::FaultConfig &faults, unsigned oracle_threads)
     cfg.oracleThreads = oracle_threads;
     sim::ExperimentDriver driver(cfg);
     const auto ctrl = bench::makeController("ACCPC", cfg);
-    return driver.run(app, *ctrl);
+    test::EpochRecorder recorder(driver);
+    sim::RunResult result = driver.run(app, *ctrl, &recorder);
+    return {std::move(result), std::move(recorder.epochs)};
 }
 
 } // namespace
@@ -187,8 +193,8 @@ TEST(SnapshotRestore, EccScrubbedFaultRunsAreOracleThreadInvariant)
 
     // The fault campaign really ran: bits flipped, and parity caught
     // at least one corrupted entry before it could mispredict.
-    EXPECT_GT(serial.faults.tableBitFlips, 0u);
-    EXPECT_GT(serial.faults.tableScrubs, 0u);
+    EXPECT_GT(serial.result.faults.tableBitFlips, 0u);
+    EXPECT_GT(serial.result.faults.tableScrubs, 0u);
 
-    expectIdenticalResults(serial, parallel, "ecc/oracle-threads 4");
+    expectIdenticalRuns(serial, parallel, "ecc/oracle-threads 4");
 }

@@ -22,10 +22,11 @@
 
 #include "core/pcstall_controller.hh"
 #include "dvfs/hierarchical.hh"
+#include "epoch_recorder.hh"
 #include "models/reactive_controller.hh"
 #include "oracle/oracle_controllers.hh"
 #include "sim/experiment.hh"
-#include "sim/trace_export.hh"
+#include "trace/epoch_csv.hh"
 #include "trace/format.hh"
 #include "trace/replay.hh"
 #include "trace/snapshot.hh"
@@ -671,36 +672,80 @@ TEST(Replay, SweepControllerOnSweeplessTraceFailsCleanly)
 }
 
 // ---------------------------------------------------------------------
-// CSV export hygiene (schema comment + separator escaping).
+// Epoch CSV export (trace::writeEpochCsv).
 // ---------------------------------------------------------------------
 
 TEST(TraceCsv, RunTraceCsvCarriesSchemaComment)
 {
-    auto cfg = testConfig();
-    cfg.collectTrace = true;
-    sim::ExperimentDriver driver(cfg);
-    const auto a = app("comd");
     models::ReactiveController stall(models::EstimationKind::Stall);
-    const sim::RunResult r = driver.run(a, stall);
-    ASSERT_FALSE(r.trace.empty());
+    const Captured cap = capture(testConfig(), "comd", stall);
+    const auto read = trace::readTraceFile(cap.path);
+    std::remove(cap.path.c_str());
+    ASSERT_TRUE(read.ok()) << read.error;
 
     std::ostringstream os;
-    sim::writeRunTraceCsv(os, r, driver.table());
+    trace::writeEpochCsv(os, *read.trace);
     std::istringstream is(os.str());
     std::string first, second;
     std::getline(is, first);
     std::getline(is, second);
     EXPECT_EQ(first, "# pcstall-run-trace-csv v" +
-                         std::to_string(sim::traceCsvSchemaVersion));
+                         std::to_string(trace::epochCsvSchemaVersion));
     EXPECT_EQ(second, "epoch_us,domain,state,freq_ghz,committed");
 }
 
-TEST(TraceCsv, EscapeQuotesSeparatorsAndQuotes)
+/**
+ * The CSV rows are the run's applied per-epoch record: one row per
+ * (epoch, domain), in order, with the state each domain really ran at
+ * and the instructions it committed. The expected rows come from a
+ * live observer of the same run, which follows the fault injector's
+ * applied states rather than the recorded frequencies the writer
+ * reads, so failed transitions and multi-CU domains are both covered.
+ */
+TEST(TraceCsv, RowsFollowAppliedStatesEveryEpoch)
 {
-    EXPECT_EQ(sim::csvEscape("plain"), "plain");
-    EXPECT_EQ(sim::csvEscape("12.5"), "12.5");
-    EXPECT_EQ(sim::csvEscape("a,b"), "\"a,b\"");
-    EXPECT_EQ(sim::csvEscape("say \"hi\""), "\"say \"\"hi\"\"\"");
-    EXPECT_EQ(sim::csvEscape("line\nbreak"), "\"line\nbreak\"");
-    EXPECT_EQ(sim::csvEscape(""), "");
+    sim::RunConfig cfg = testConfig(4);
+    cfg.cusPerDomain = 2;
+    cfg.faults.dvfs.enabled = true;
+    cfg.faults.dvfs.transitionFailProb = 0.3;
+    sim::ExperimentDriver driver(cfg);
+    core::PcstallController pcstall = makePcstall(cfg);
+    const std::string path = tempTracePath("csv-rows");
+    trace::TraceWriter writer(
+        path, trace::makeTraceMeta(cfg, driver.table(), "comd", pcstall));
+    trace::TraceCapture cap(writer);
+    test::EpochRecorder recorder(driver);
+    sim::MultiObserver both;
+    both.add(&cap);
+    both.add(&recorder);
+    const sim::RunResult r = driver.run(app("comd", 4), pcstall, &both);
+    const auto read = trace::readTraceFile(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(read.ok()) << read.error;
+    // Not vacuous: transitions were requested and some of them failed.
+    EXPECT_GT(r.transitions, 0u);
+    EXPECT_GT(r.faults.transitionFailures, 0u);
+
+    std::ostringstream os;
+    trace::writeEpochCsv(os, *read.trace);
+    std::istringstream is(os.str());
+    std::string line;
+    std::getline(is, line); // schema comment
+    std::getline(is, line); // column header
+    ASSERT_EQ(recorder.epochs.size(), r.epochs);
+    for (const test::AppliedEpoch &e : recorder.epochs) {
+        ASSERT_EQ(e.state.size(), 2u);
+        for (std::size_t d = 0; d < e.state.size(); ++d) {
+            std::ostringstream want;
+            want << static_cast<double>(e.start) /
+                    static_cast<double>(tickUs)
+                 << ',' << d << ',' << e.state[d] << ','
+                 << freqGHzD(driver.table().state(e.state[d]).freq)
+                 << ',' << e.committed[d];
+            ASSERT_TRUE(std::getline(is, line))
+                << "missing row for " << want.str();
+            EXPECT_EQ(line, want.str());
+        }
+    }
+    EXPECT_FALSE(std::getline(is, line)) << "extra row: " << line;
 }

@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Plot CSV traces and observability JSON exported by the simulator.
+"""Plot epoch-trace CSVs and observability JSON exported by the simulator.
 
-Accepts both the legacy header-only CSVs and the current exports that
-carry a leading `# pcstall-<kind>-csv v<N>` schema comment (lines
-starting with '#' are skipped). Run traces can come either from a live
-run (`sim::writeRunTraceCsv`, e.g. `examples/custom_workload
---trace-csv`) or from a recorded epoch trace via
-`trace_inspect csv run.pctrace > run.csv`.
+The `run` kind takes the per-epoch CSV that `trace_inspect csv
+run.pctrace > run.csv` (or `examples/custom_workload --trace-csv`)
+writes from a recorded epoch trace (docs/trace_format.md). Lines
+starting with '#' (the `# pcstall-run-trace-csv v<N>` schema comment)
+are skipped, so header-only CSVs without it load as well.
 
 The `metrics` kind takes the observability JSON instead: either a
 pcstall-metrics-v1 snapshot (--metrics-out) or a pcstall-timeline-v1
@@ -25,15 +24,11 @@ from collections import defaultdict
 
 EXAMPLES = """\
 examples:
-  # frequency / work per epoch from a live-run export
-  plot_traces.py run trace.csv -o run.png
-
-  # same, from a recorded epoch trace
+  # frequency / work per epoch from a recorded epoch trace
+  trace_inspect capture --workload comd --controller PCSTALL \\
+    --out run.pctrace
   trace_inspect csv run.pctrace > run.csv
-  plot_traces.py run run.csv
-
-  # per-domain sensitivity profile (cf. paper Fig 6)
-  plot_traces.py prof profile.csv -o profile.png
+  plot_traces.py run run.csv -o run.png
 
   # residency + prediction error from an observability snapshot
   fig15_ed2p --metrics-out metrics.json
@@ -78,27 +73,6 @@ def plot_run(rows, out):
     ax_c.set_ylabel("instructions / epoch")
     ax_c.set_xlabel("time (us)")
     fig.suptitle("PCSTALL run trace")
-    fig.tight_layout()
-    fig.savefig(out, dpi=150)
-    print(f"wrote {out}")
-
-
-def plot_profile(rows, out):
-    import matplotlib.pyplot as plt
-
-    domains = defaultdict(lambda: ([], []))
-    for r in rows:
-        t, s = domains[int(r["domain"])]
-        t.append(float(r["epoch_us"]))
-        s.append(float(r["sensitivity"]))
-
-    fig, ax = plt.subplots(figsize=(10, 4))
-    for d, (t, s) in sorted(domains.items()):
-        ax.plot(t, s, label=f"domain {d}", alpha=0.7)
-    ax.set_xlabel("time (us)")
-    ax.set_ylabel("sensitivity (instr/GHz)")
-    ax.legend(loc="upper right", fontsize="small")
-    fig.suptitle("Frequency-sensitivity profile (cf. paper Fig 6)")
     fig.tight_layout()
     fig.savefig(out, dpi=150)
     print(f"wrote {out}")
@@ -221,10 +195,10 @@ def main():
     )
     parser.add_argument(
         "kind",
-        choices=("run", "prof", "metrics"),
+        choices=("run", "metrics"),
         help="input kind: 'run' = per-epoch run trace CSV, "
-        "'prof' = sensitivity profile CSV, 'metrics' = observability "
-        "JSON (metrics snapshot or timeline, auto-detected)",
+        "'metrics' = observability JSON (metrics snapshot or "
+        "timeline, auto-detected)",
     )
     parser.add_argument("csv", help="input file")
     parser.add_argument(
@@ -245,16 +219,10 @@ def main():
         return 0
 
     rows = load(args.csv)
-    if args.kind == "run":
-        check_columns(
-            rows, {"epoch_us", "domain", "freq_ghz", "committed"}, args.csv
-        )
-        plot_run(rows, args.out)
-    else:
-        check_columns(
-            rows, {"epoch_us", "domain", "sensitivity"}, args.csv
-        )
-        plot_profile(rows, args.out)
+    check_columns(
+        rows, {"epoch_us", "domain", "freq_ghz", "committed"}, args.csv
+    )
+    plot_run(rows, args.out)
     return 0
 
 

@@ -8,7 +8,7 @@
  *   trace_inspect diff    <a> <b>            compare two traces
  *   trace_inspect capture --workload W --controller C --out T [...]
  *                                            run live and record
- *   trace_inspect replay  <trace> [--controller C] [--csv-out F]
+ *   trace_inspect replay  <trace> [--controller C]
  *                                            re-drive a controller
  *   trace_inspect metrics <trace> [--controller C] [--out F]
  *                                            replay under the metrics
@@ -60,8 +60,8 @@
 #include "dvfs/objective.hh"
 #include "harness.hh"
 #include "sim/parallel_executor.hh"
-#include "sim/trace_export.hh"
 #include "store/atomic_file.hh"
+#include "trace/epoch_csv.hh"
 #include "trace/format.hh"
 #include "trace/library.hh"
 #include "trace/replay.hh"
@@ -83,8 +83,8 @@ printUsage(std::FILE *out)
         "  csv     <trace>                     export run-trace CSV\n"
         "  diff    <a> <b>                     compare two traces\n"
         "  capture --workload W --controller C --out T [bench opts]\n"
-        "  replay  <trace> [--controller C] [--csv-out F]\n"
-        "          [--pc-snapshot-out F] [--no-verify] [--quiet]\n"
+        "  replay  <trace> [--controller C] [--pc-snapshot-out F]\n"
+        "          [--no-verify] [--quiet]\n"
         "          [--threads N]   N concurrent re-drives, all\n"
         "                          verified bit-identical\n"
         "  metrics <trace> [--controller C] [--out F]\n"
@@ -124,17 +124,6 @@ loadOrDie(const std::string &path)
     if (!read.ok())
         fatal(read.error);
     return std::move(*read.trace);
-}
-
-/** Index of @p freq in the captured V/f table (-1 when absent). */
-int
-stateOf(const trace::TraceMeta &meta, Freq freq)
-{
-    for (std::size_t i = 0; i < meta.vfStates.size(); ++i) {
-        if (meta.vfStates[i].freq == freq)
-            return static_cast<int>(i);
-    }
-    return -1;
 }
 
 /**
@@ -195,7 +184,7 @@ printMeta(const trace::TraceData &data)
                 dvfs::objectiveName(
                     static_cast<dvfs::Objective>(m.objective)));
     std::printf("nominal freq:    %.2f GHz (state %d of %zu)\n",
-                freqGHzD(m.nominalFreq), stateOf(m, m.nominalFreq),
+                freqGHzD(m.nominalFreq), m.stateOf(m.nominalFreq),
                 m.vfStates.size());
     std::printf("V/f table:       ");
     for (const power::VfState &s : m.vfStates)
@@ -293,45 +282,6 @@ cmdStats(const std::string &path)
                               : 0.0);
     }
     std::printf("domain state changes: %" PRIu64 "\n", transitions);
-    return 0;
-}
-
-/**
- * Export the epochs of a trace in the run-trace CSV schema
- * (sim::writeRunTraceCsv): states are recovered from the per-CU
- * operating frequencies the frames recorded.
- */
-int
-cmdCsv(const std::string &path, std::ostream &os)
-{
-    const trace::TraceData data = loadOrDie(path);
-    const dvfs::DomainMap domains(data.meta.numCus,
-                                  data.meta.cusPerDomain);
-    sim::RunResult synth;
-    for (const trace::EpochFrame &f : data.frames) {
-        sim::EpochTraceEntry entry;
-        entry.start = f.start;
-        for (std::uint32_t d = 0; d < domains.numDomains(); ++d) {
-            const Freq freq =
-                f.record.cus[domains.firstCu(d)].freq;
-            const int state = stateOf(data.meta, freq);
-            if (state < 0) {
-                fatal("frame frequency " +
-                      std::to_string(freq / freqMHz) +
-                      " MHz is not a V/f table state");
-            }
-            entry.domainState.push_back(
-                static_cast<std::uint8_t>(state));
-            entry.domainCommitted.push_back(dvfs::sumOverDomain(
-                domains, d, [&](std::uint32_t cu) {
-                    return static_cast<double>(
-                        f.record.cus[cu].committed);
-                }));
-        }
-        synth.trace.push_back(std::move(entry));
-    }
-    sim::writeRunTraceCsv(os, synth,
-                          trace::vfTableFromMeta(data.meta));
     return 0;
 }
 
@@ -495,13 +445,6 @@ cmdReplay(const std::string &path, const CliOptions &cli)
         }
     }
 
-    const std::string csv_out = cli.get("csv-out", "");
-    if (!csv_out.empty()) {
-        if (!sim::writeRunTraceCsvFile(
-                csv_out, r, trace::vfTableFromMeta(data.meta))) {
-            fatal("cannot write '" + csv_out + "'");
-        }
-    }
     const std::string snap_out = cli.get("pc-snapshot-out", "");
     if (!snap_out.empty()) {
         auto *pcstall = dynamic_cast<core::PcstallController *>(
@@ -1229,9 +1172,8 @@ main(int argc, char **argv)
                                          {"controller", "C"},
                                          {"design", "C"}})},
             {"replay", "<trace> [options]", 1,
-             {{"controller", "C"}, {"csv-out", "F"},
-              {"pc-snapshot-out", "F"}, {"no-verify", ""}, {"quiet", ""},
-              {"threads", "N"}}},
+             {{"controller", "C"}, {"pc-snapshot-out", "F"},
+              {"no-verify", ""}, {"quiet", ""}, {"threads", "N"}}},
             {"metrics", "<trace> [options]", 1,
              {{"controller", "C"}, {"out", "F"}}},
             {"library", "<dir> [list|verify|gc]", 1, {}},
@@ -1254,8 +1196,10 @@ main(int argc, char **argv)
             return cmdHeader(pos[0]);
         if (cmd == "stats")
             return cmdStats(pos[0]);
-        if (cmd == "csv")
-            return cmdCsv(pos[0], std::cout);
+        if (cmd == "csv") {
+            trace::writeEpochCsv(std::cout, loadOrDie(pos[0]));
+            return 0;
+        }
         if (cmd == "diff")
             return cmdDiff(pos[0], pos[1]);
         if (cmd == "capture")
